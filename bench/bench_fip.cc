@@ -4,25 +4,22 @@
  * for the predict-per-interval loop, across a functions x intervals
  * grid, against a frozen copy of the pre-optimisation predictor.
  *
- * Three measured modes:
+ * Two measured modes:
  *   legacy       the predictor as it stood before the plan-cached
  *                rewrite (vector-erase window, per-call Bluestein
  *                FFT, Matrix-based least squares) -- frozen below so
  *                the speedup baseline cannot drift as src/ evolves;
- *   plan         today's default path (plan-cached FFT, ring buffer,
+ *   plan         today's scalar FIP (plan-cached FFT, ring buffer,
  *                reused workspaces). The complex FFT plans are
  *                bit-identical to the legacy code; the real-input
  *                packing reorders roundoff, so end-to-end forecasts
  *                match legacy to ~1e-12 (figure outputs stay
- *                byte-identical);
- *   incremental  the opt-in sliding-DFT spectrum
- *                (FftPredictorConfig::incremental_spectrum), within
- *                1e-6 of the default path.
+ *                byte-identical).
  *
  * Also times the raw non-power-of-two real FFT (legacy per-call
  * Bluestein vs cached plan) since that is the single hottest kernel.
  *
- * A fourth, many-function *batch* section times the ForecastPool's
+ * A many-function *batch* section times the ForecastPool's
  * SoA block engine against a fleet of scalar FftPredictor instances:
  * ns/forecast and forecasts/sec for scalar vs pool-exact
  * (bit-identical mode) vs pool-fast (rotation-recurrence trig,
@@ -41,9 +38,8 @@
  *   --smoke                         tiny grid + correctness gates:
  *                                   exits non-zero if the plan path
  *                                   allocates in steady state, drifts
- *                                   from legacy, incremental mode
- *                                   leaves the 1e-6 envelope, the
- *                                   batch pool diverges (exact must be
+ *                                   from legacy, the batch pool
+ *                                   diverges (exact must be
  *                                   bit-identical, fast <= 1e-9), or
  *                                   the pool allocates in steady
  *                                   state. Absolute timings are NOT
@@ -656,11 +652,10 @@ runGrid(const BenchConfig &cfg, MakeState make_state, Step step)
  * growth (new peak-count maxima) over the run.
  */
 double
-steadyStateAllocs(const BenchConfig &cfg, bool incremental)
+steadyStateAllocs(const BenchConfig &cfg)
 {
     iceb::predictors::FftPredictorConfig fip;
     fip.window = cfg.window;
-    fip.incremental_spectrum = incremental;
     iceb::predictors::FftPredictor predictor(fip);
     std::vector<double> out;
     for (std::size_t t = 0; t < cfg.window + 128; ++t) {
@@ -722,42 +717,33 @@ benchFftKernel(const BenchConfig &cfg, double &legacy_ns, double &plan_ns)
 
 /**
  * Forecast-agreement sweep (independent of the timed runs): walks one
- * function's stream through all three predictors and records the
- * worst per-step divergence. plan-vs-legacy must be exactly zero;
- * incremental-vs-plan must stay within 1e-6.
+ * function's stream through the legacy and plan predictors and
+ * returns the worst per-step divergence (the smoke gate allows 1e-9).
  */
-void
-checkAgreement(const BenchConfig &cfg, double &plan_vs_legacy,
-               double &incremental_vs_plan)
+double
+checkAgreement(const BenchConfig &cfg)
 {
     iceb::predictors::FftPredictorConfig fip;
     fip.window = cfg.window;
     legacy::Predictor old_p(fip);
     iceb::predictors::FftPredictor plan_p(fip);
-    iceb::predictors::FftPredictorConfig inc_cfg = fip;
-    inc_cfg.incremental_spectrum = true;
-    iceb::predictors::FftPredictor inc_p(inc_cfg);
 
-    plan_vs_legacy = 0.0;
-    incremental_vs_plan = 0.0;
-    std::vector<double> plan_out, inc_out;
+    double plan_vs_legacy = 0.0;
+    std::vector<double> plan_out;
     const std::size_t steps = cfg.window + (cfg.smoke ? 40 : 200);
     for (std::size_t t = 0; t < steps; ++t) {
         const double v = signalAt(3, t);
         old_p.observe(v);
         plan_p.observe(v);
-        inc_p.observe(v);
         const std::vector<double> old_out =
             old_p.forecastHorizon(cfg.horizon);
         plan_p.forecastHorizon(cfg.horizon, plan_out);
-        inc_p.forecastHorizon(cfg.horizon, inc_out);
         for (std::size_t h = 0; h < cfg.horizon; ++h) {
             plan_vs_legacy = std::max(
                 plan_vs_legacy, std::fabs(plan_out[h] - old_out[h]));
-            incremental_vs_plan = std::max(
-                incremental_vs_plan, std::fabs(inc_out[h] - plan_out[h]));
         }
     }
+    return plan_vs_legacy;
 }
 
 // ---------------------------------------------------------------------------
@@ -1007,11 +993,9 @@ readBaseline(const std::string &path)
 
 void
 writeJson(const BenchConfig &cfg, const ModeResult &legacy_r,
-          const ModeResult &plan_r, const ModeResult &inc_r,
-          double fft_legacy_ns, double fft_plan_ns,
-          double plan_vs_legacy, double incremental_vs_plan,
-          double steady_allocs_plan, double steady_allocs_inc,
-          const BatchResult &batch)
+          const ModeResult &plan_r, double fft_legacy_ns,
+          double fft_plan_ns, double plan_vs_legacy,
+          double steady_allocs_plan, const BatchResult &batch)
 {
     std::ofstream out(cfg.json_path);
     if (!out) {
@@ -1042,14 +1026,11 @@ writeJson(const BenchConfig &cfg, const ModeResult &legacy_r,
     };
     mode("legacy", legacy_r, false);
     mode("plan", plan_r, false);
-    mode("incremental", inc_r, false);
     out << "  \"steady_state_allocs\": {\n";
-    out << "    \"plan\": " << steady_allocs_plan << ",\n";
-    out << "    \"incremental\": " << steady_allocs_inc << "\n";
+    out << "    \"plan\": " << steady_allocs_plan << "\n";
     out << "  },\n";
     out << "  \"max_abs_diff\": {\n";
-    out << "    \"plan_vs_legacy\": " << plan_vs_legacy << ",\n";
-    out << "    \"incremental_vs_plan\": " << incremental_vs_plan << "\n";
+    out << "    \"plan_vs_legacy\": " << plan_vs_legacy << "\n";
     out << "  },\n";
     out << "  \"batch\": {\n";
     out << "    \"functions\": " << batch.functions << ",\n";
@@ -1198,26 +1179,11 @@ main(int argc, char **argv)
             return s.out.front();
         });
 
-    iceb::predictors::FftPredictorConfig inc_cfg = fip;
-    inc_cfg.incremental_spectrum = true;
-    const auto inc_r = runGrid(
-        cfg,
-        [&](std::size_t) { return PlanState{
-            iceb::predictors::FftPredictor(inc_cfg), {}}; },
-        [&](PlanState &s, std::size_t fn, std::size_t t) {
-            s.predictor.observe(signalAt(fn, t));
-            s.predictor.forecastHorizon(cfg.horizon, s.out);
-            return s.out.front();
-        });
-
     double fft_legacy_ns = 0.0, fft_plan_ns = 0.0;
     benchFftKernel(cfg, fft_legacy_ns, fft_plan_ns);
 
-    double plan_vs_legacy = 0.0, incremental_vs_plan = 0.0;
-    checkAgreement(cfg, plan_vs_legacy, incremental_vs_plan);
-
-    const double steady_allocs_plan = steadyStateAllocs(cfg, false);
-    const double steady_allocs_inc = steadyStateAllocs(cfg, true);
+    const double plan_vs_legacy = checkAgreement(cfg);
+    const double steady_allocs_plan = steadyStateAllocs(cfg);
 
     const BatchResult batch = runBatch(cfg);
 
@@ -1234,18 +1200,13 @@ main(int argc, char **argv)
     std::printf("  %-12s %10.0f %12.2f %9.2fx\n", "plan",
                 plan_r.ns_per_forecast, plan_r.allocs_per_forecast,
                 legacy_r.ns_per_forecast / plan_r.ns_per_forecast);
-    std::printf("  %-12s %10.0f %12.2f %9.2fx\n", "incremental",
-                inc_r.ns_per_forecast, inc_r.allocs_per_forecast,
-                legacy_r.ns_per_forecast / inc_r.ns_per_forecast);
     std::printf("  fftReal(%zu): legacy %.0f ns, plan %.0f ns"
                 " (%.2fx)\n",
                 cfg.window, fft_legacy_ns, fft_plan_ns,
                 fft_legacy_ns / fft_plan_ns);
-    std::printf("  steady-state allocs: plan %.3f, incremental %.3f\n",
-                steady_allocs_plan, steady_allocs_inc);
-    std::printf("  max |diff|: plan vs legacy %.3g,"
-                " incremental vs plan %.3g\n",
-                plan_vs_legacy, incremental_vs_plan);
+    std::printf("  steady-state allocs: plan %.3f\n",
+                steady_allocs_plan);
+    std::printf("  max |diff|: plan vs legacy %.3g\n", plan_vs_legacy);
 
     std::printf("batch: %zu functions x %zu intervals (scalar fleet"
                 " sampled at %zu)\n",
@@ -1265,9 +1226,8 @@ main(int argc, char **argv)
                 batch.exact_diff, batch.exact_bit_mismatches,
                 batch.fast_diff, batch.steady_allocs);
 
-    writeJson(cfg, legacy_r, plan_r, inc_r, fft_legacy_ns, fft_plan_ns,
-              plan_vs_legacy, incremental_vs_plan, steady_allocs_plan,
-              steady_allocs_inc, batch);
+    writeJson(cfg, legacy_r, plan_r, fft_legacy_ns, fft_plan_ns,
+              plan_vs_legacy, steady_allocs_plan, batch);
     std::printf("  wrote %s\n", cfg.json_path.c_str());
 
     if (cfg.smoke) {
@@ -1289,13 +1249,6 @@ main(int argc, char **argv)
                          "FAIL: plan path diverges from legacy"
                          " (max |diff| %.3g)\n",
                          plan_vs_legacy);
-            ok = false;
-        }
-        if (incremental_vs_plan > 1e-6) {
-            std::fprintf(stderr,
-                         "FAIL: incremental mode outside 1e-6"
-                         " (max |diff| %.3g)\n",
-                         incremental_vs_plan);
             ok = false;
         }
         if (batch.exact_bit_mismatches != 0) {

@@ -100,7 +100,7 @@ decomposeFromMagnitudesImpl(const double *series, std::size_t n,
     if (fast_trig) {
         // cos/sin of 2*pi*f*t via one complex rotation per sample:
         // ~1 ulp of drift per step, orders of magnitude below the
-        // incremental mode's 1e-6 agreement budget.
+        // fast path's 1e-9 forecast tolerance.
         ws.rot_state.assign(m, Complex(1.0, 0.0));
         ws.rot_step.resize(m);
         for (std::size_t i = 0; i < m; ++i) {

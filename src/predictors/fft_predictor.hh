@@ -23,9 +23,9 @@
 #ifndef ICEB_PREDICTORS_FFT_PREDICTOR_HH
 #define ICEB_PREDICTORS_FFT_PREDICTOR_HH
 
+#include <cstdint>
 #include <vector>
 
-#include "math/fft.hh"
 #include "math/harmonics.hh"
 #include "math/polyfit.hh"
 #include "predictors/predictor.hh"
@@ -46,24 +46,47 @@ struct FftPredictorConfig
     std::size_t poly_degree = 2;    //!< trend model order
     std::size_t min_samples = 8;    //!< below this, predict the mean
 
-    /**
-     * Opt-in incremental spectrum: once the window is full, maintain
-     * its DFT bins with an O(1)-per-bin sliding update on every
-     * observe() instead of a fresh FFT per forecast, and subtract the
-     * trend's spectrum analytically (the DFTs of t^0..t^degree are
-     * precomputed, so the residual spectrum follows by linearity).
-     * Agrees with the full recompute within 1e-6; the default (off)
-     * keeps the forecast arithmetic bit-identical to the original
-     * implementation.
-     */
-    bool incremental_spectrum = false;
-
-    /**
-     * Full-FFT resync cadence (in observed samples) for the
-     * incremental mode, bounding sliding-DFT floating-point drift.
-     */
-    std::size_t resync_every = 64;
+    bool operator==(const FftPredictorConfig &) const = default;
 };
+
+/**
+ * Scratch for one scalar FIP forecast: every intermediate of the
+ * trend fit and harmonic decomposition. Owned by the caller (one per
+ * predictor, one per ForecastPool worker) so repeated forecasts
+ * allocate nothing in steady state.
+ */
+struct FipWorkspace
+{
+    std::vector<double> window;   //!< linearized window, oldest first
+    std::vector<double> residual; //!< detrended window
+    math::Polynomial trend;
+    math::PolyfitWorkspace poly;
+    math::HarmonicsWorkspace spectral;
+    std::vector<math::Harmonic> harmonics;
+};
+
+/**
+ * Append one observation (clamped at 0) to a ring of @p window slots
+ * that holds @p count samples: in arrival order while filling, then
+ * circularly with the oldest at @p head. Shared by FftPredictor and
+ * ForecastPool.
+ */
+void pushObservation(double *ring, std::size_t window,
+                     std::uint32_t &count, std::uint32_t &head,
+                     double concurrency);
+
+/**
+ * The scalar FIP: forecast @p horizon intervals past the window held
+ * in @p ring (see pushObservation) into @p out. A silent window
+ * forecasts zeros, a window under config.min_samples its mean, and
+ * anything else the trend + top-n harmonic extrapolation. This is
+ * the one implementation behind FftPredictor::forecastHorizon and
+ * ForecastPool's warm-up lanes; the pool's block kernels are pinned
+ * bit for bit against it.
+ */
+void forecastWindow(const FftPredictorConfig &config, const double *ring,
+                    std::size_t count, std::size_t head,
+                    std::size_t horizon, FipWorkspace &ws, double *out);
 
 /**
  * The FFT-based predictor.
@@ -100,30 +123,13 @@ class FftPredictor : public Predictor
     const FftPredictorConfig &config() const { return config_; }
 
   private:
-    /** Copy the ring contents, oldest first, into window_scratch_. */
-    void linearizeWindow();
-
-    /** Residual-spectrum magnitudes from the sliding DFT + trend fit. */
-    void incrementalMagnitudes();
-
     FftPredictorConfig config_;
     std::vector<double> ring_;   //!< circular window storage
-    std::size_t head_ = 0;       //!< oldest element when full
-    std::size_t size_ = 0;       //!< samples held (<= config_.window)
+    std::uint32_t head_ = 0;     //!< oldest element when full
+    std::uint32_t size_ = 0;     //!< samples held (<= config_.window)
 
-    std::vector<double> window_scratch_;  //!< linearized window
-    std::vector<double> residual_;        //!< detrended window
-    math::Polynomial trend_;
-    math::PolyfitWorkspace poly_ws_;
-    math::HarmonicsWorkspace harm_ws_;
-    std::vector<math::Harmonic> harmonics_;
+    FipWorkspace ws_;
     std::vector<double> next_scratch_;    //!< predictNext() output
-
-    // Incremental (sliding-DFT) mode state.
-    math::SlidingDft sdft_;
-    std::size_t since_resync_ = 0;
-    /** DFT bins 0..n/2 of t^p for p = 0..poly_degree. */
-    std::vector<std::vector<math::Complex>> trend_basis_;
 };
 
 } // namespace iceb::predictors

@@ -1,11 +1,9 @@
 #include "predictors/forecast_pool.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <thread>
 
 #include "common/logging.hh"
-#include "math/stats.hh"
 
 namespace iceb::predictors
 {
@@ -15,16 +13,6 @@ namespace
 
 constexpr std::uint32_t kInvalid = 0xffffffffu;
 constexpr std::size_t L = kernels::kLanes;
-
-bool
-sameConfig(const FftPredictorConfig &a, const FftPredictorConfig &b)
-{
-    return a.window == b.window && a.harmonics == b.harmonics &&
-        a.poly_degree == b.poly_degree &&
-        a.min_samples == b.min_samples &&
-        a.incremental_spectrum == b.incremental_spectrum &&
-        a.resync_every == b.resync_every;
-}
 
 } // namespace
 
@@ -39,7 +27,7 @@ std::size_t
 ForecastPool::groupFor(const FftPredictorConfig &config)
 {
     for (std::size_t g = 0; g < groups_.size(); ++g)
-        if (sameConfig(groups_[g].cfg, config))
+        if (groups_[g].cfg == config)
             return g;
     Group group;
     group.cfg = config;
@@ -52,7 +40,6 @@ ForecastPool::addFunction(const FftPredictorConfig &config)
 {
     ICEB_ASSERT(config.window >= 4, "FIP window too small");
     ICEB_ASSERT(config.harmonics >= 1, "FIP needs >= 1 harmonic");
-    ICEB_ASSERT(config.resync_every >= 1, "FIP resync cadence too small");
 
     const std::size_t g = groupFor(config);
     Group &group = groups_[g];
@@ -68,8 +55,6 @@ ForecastPool::addFunction(const FftPredictorConfig &config)
         group.head.push_back(0);
         group.count.push_back(0);
         group.slot_of_lane.push_back(kInvalid);
-        if (config.incremental_spectrum)
-            group.scalar.emplace_back();
     }
     group.head[lane] = 0;
     group.count[lane] = 0;
@@ -78,8 +63,6 @@ ForecastPool::addFunction(const FftPredictorConfig &config)
               group.ring.begin() +
                   static_cast<std::ptrdiff_t>((lane + 1) * config.window),
               0.0);
-    if (config.incremental_spectrum)
-        group.scalar[lane] = std::make_unique<FftPredictor>(config);
 
     std::uint32_t slot;
     if (!free_slots_.empty()) {
@@ -105,8 +88,6 @@ ForecastPool::removeFunction(std::size_t slot)
     group.slot_of_lane[ref.lane] = kInvalid;
     group.head[ref.lane] = 0;
     group.count[ref.lane] = 0;
-    if (group.cfg.incremental_spectrum)
-        group.scalar[ref.lane].reset();
     group.free_lanes.push_back(ref.lane);
     ref.lane = kInvalid;
     free_slots_.push_back(static_cast<std::uint32_t>(slot));
@@ -120,22 +101,10 @@ ForecastPool::observe(std::size_t slot, double concurrency)
     const SlotRef ref = slots_[slot];
     ICEB_ASSERT(ref.lane != kInvalid, "observe on a retired pool slot");
     Group &group = groups_[ref.group];
-    if (group.cfg.incremental_spectrum) {
-        group.scalar[ref.lane]->observe(concurrency);
-        return;
-    }
-    // Mirror of FftPredictor::observe over the lane's ring column.
     const std::size_t w = group.cfg.window;
-    double *ring = group.ring.data() + ref.lane * w;
-    const double value = std::max(0.0, concurrency);
-    std::uint32_t &count = group.count[ref.lane];
-    if (count < w) {
-        ring[count++] = value;
-        return;
-    }
-    std::uint32_t &head = group.head[ref.lane];
-    ring[head] = value;
-    head = head + 1 == w ? 0 : head + 1;
+    pushObservation(group.ring.data() + ref.lane * w, w,
+                    group.count[ref.lane], group.head[ref.lane],
+                    concurrency);
 }
 
 void
@@ -147,8 +116,6 @@ ForecastPool::reset(std::size_t slot)
     Group &group = groups_[ref.group];
     group.head[ref.lane] = 0;
     group.count[ref.lane] = 0;
-    if (group.cfg.incremental_spectrum)
-        group.scalar[ref.lane]->reset();
 }
 
 std::size_t
@@ -157,10 +124,7 @@ ForecastPool::sampleCount(std::size_t slot) const
     ICEB_ASSERT(slot < slots_.size(), "forecast pool slot out of range");
     const SlotRef ref = slots_[slot];
     ICEB_ASSERT(ref.lane != kInvalid, "sampleCount on a retired slot");
-    const Group &group = groups_[ref.group];
-    if (group.cfg.incremental_spectrum)
-        return group.scalar[ref.lane]->sampleCount();
-    return group.count[ref.lane];
+    return groups_[ref.group].count[ref.lane];
 }
 
 void
@@ -169,11 +133,10 @@ ForecastPool::ensureGroupCaches(Group &group)
     if (group.caches_ready)
         return;
     const FftPredictorConfig &cfg = group.cfg;
-    // Only full-window lanes of non-incremental groups with a usable
-    // spectrum ever run the batched pipeline; other groups forecast
-    // through the scalar mirror and need no shared tables.
-    if (cfg.incremental_spectrum || cfg.window < 8 ||
-        cfg.window < cfg.min_samples)
+    // Only full-window lanes of groups with a usable spectrum ever run
+    // the batched pipeline; other groups forecast through the scalar
+    // core and need no shared tables.
+    if (cfg.window < 8 || cfg.window < cfg.min_samples)
         return;
     group.plan = math::fftPlanFor(cfg.window);
     math::buildSeriesPowerTable(cfg.window, cfg.poly_degree,
@@ -249,42 +212,25 @@ ForecastPool::forecast(std::size_t slot) const
 }
 
 void
-ForecastPool::runBlock(const Group &group_const, const BlockTask &task,
+ForecastPool::runBlock(const Group &group, const BlockTask &task,
                        WorkerScratch &scratch)
 {
-    // Lanes are thread-private even though the group is shared:
-    // incremental lanes mutate only their own predictor, batch lanes
-    // only read the ring and shared caches.
-    Group &group = const_cast<Group &>(group_const);
+    // Workers only read the group (rings and shared caches) and write
+    // their own lanes' disjoint forecasts_ rows.
     const FftPredictorConfig &cfg = group.cfg;
     const std::size_t w = cfg.window;
     const std::size_t lane_end =
         std::min<std::size_t>(task.first_lane + L, group.lanes);
 
-    if (cfg.incremental_spectrum) {
-        for (std::size_t lane = task.first_lane; lane < lane_end;
-             ++lane) {
-            const std::uint32_t slot = group.slot_of_lane[lane];
-            if (slot == kInvalid)
-                continue;
-            group.scalar[lane]->forecastHorizon(horizon_,
-                                                scratch.horizon_tmp);
-            std::copy(scratch.horizon_tmp.begin(),
-                      scratch.horizon_tmp.end(),
-                      forecasts_.begin() +
-                          static_cast<std::ptrdiff_t>(slot * horizon_));
-        }
-        return;
-    }
-
     const bool can_batch =
         group.caches_ready && w >= 8 && w >= cfg.min_samples;
+    const kernels::BlockContext ctx{
+        group.plan.get(), w, cfg.poly_degree, cfg.harmonics,
+        &group.powers, &group.trend_system, options_.fast_path};
     bool active[L] = {};
     bool any_active = false;
     if (can_batch)
-        scratch.block.prepare(kernels::BlockContext{
-            group.plan.get(), w, cfg.poly_degree, cfg.harmonics,
-            &group.powers, &group.trend_system, options_.fast_path});
+        scratch.block.prepare(ctx);
 
     for (std::size_t lane = task.first_lane; lane < lane_end; ++lane) {
         const std::size_t l = lane - task.first_lane;
@@ -292,20 +238,19 @@ ForecastPool::runBlock(const Group &group_const, const BlockTask &task,
         if (slot == kInvalid)
             continue;
         double *out = forecasts_.data() + slot * horizon_;
+        const double *ring = group.ring.data() + lane * w;
         const std::uint32_t count = group.count[lane];
+        const std::uint32_t head = group.head[lane];
         if (!can_batch || count < w) {
-            // Warm-up / short-window lanes: scalar mirror (the
-            // forecasts_ row is already zeroed, matching the scalar
-            // out.assign(horizon, 0.0) prologue).
-            forecastLaneScalar(group, static_cast<std::uint32_t>(lane),
-                               scratch, out);
+            // Warm-up / short-window lanes: the scalar core.
+            forecastWindow(cfg, ring, count, head, horizon_, scratch.fip,
+                           out);
             continue;
         }
         // Gather the full window, oldest first, into the lane column;
         // a silent window forecasts silence without entering the
-        // batch (the scalar all-zero fast path).
-        const double *ring = group.ring.data() + lane * w;
-        const std::uint32_t head = group.head[lane];
+        // batch (the scalar all-zero fast path; forecasts_ is already
+        // zeroed).
         double *dst = scratch.block.window.data();
         bool all_zero = true;
         for (std::size_t i = 0; i < w; ++i) {
@@ -335,9 +280,6 @@ ForecastPool::runBlock(const Group &group_const, const BlockTask &task,
             dst[i * L + l] = 0.0;
     }
 
-    const kernels::BlockContext ctx{
-        group.plan.get(), w, cfg.poly_degree, cfg.harmonics,
-        &group.powers, &group.trend_system, options_.fast_path};
     scratch.horizon_tmp.resize(horizon_ * L);
     kernels::forecastBlock(ctx, active, horizon_, scratch.block,
                            scratch.horizon_tmp.data());
@@ -349,60 +291,6 @@ ForecastPool::runBlock(const Group &group_const, const BlockTask &task,
         double *out = forecasts_.data() + slot * horizon_;
         for (std::size_t step = 0; step < horizon_; ++step)
             out[step] = scratch.horizon_tmp[step * L + l];
-    }
-}
-
-void
-ForecastPool::forecastLaneScalar(const Group &group, std::uint32_t lane,
-                                 WorkerScratch &scratch,
-                                 double *out) const
-{
-    // Line-for-line mirror of FftPredictor::forecastHorizon (the
-    // caller already zeroed the output row).
-    const FftPredictorConfig &cfg = group.cfg;
-    const std::size_t w = cfg.window;
-    const std::size_t size = group.count[lane];
-    if (size == 0)
-        return;
-    const double *ring = group.ring.data() + lane * w;
-    bool all_zero = true;
-    for (std::size_t i = 0; i < size; ++i) {
-        if (ring[i] != 0.0) {
-            all_zero = false;
-            break;
-        }
-    }
-    if (all_zero)
-        return;
-
-    scratch.window.resize(size);
-    const std::uint32_t head = group.head[lane];
-    if (size < w || head == 0) {
-        std::copy(ring, ring + size, scratch.window.begin());
-    } else {
-        const std::size_t tail = w - head;
-        std::copy(ring + head, ring + w, scratch.window.begin());
-        std::copy(ring, ring + head, scratch.window.begin() + tail);
-    }
-    if (size < cfg.min_samples) {
-        std::fill(out, out + horizon_,
-                  std::max(0.0, math::mean(scratch.window)));
-        return;
-    }
-
-    const std::size_t n = size;
-    math::polyfitSeries(scratch.window.data(), n, cfg.poly_degree,
-                        scratch.trend, scratch.poly_ws);
-    math::detrendInto(scratch.window.data(), n, scratch.trend,
-                      scratch.residual);
-    math::decomposeForExtrapolation(scratch.residual.data(), n,
-                                    cfg.harmonics, scratch.harmonics,
-                                    scratch.harm_ws);
-    for (std::size_t step = 0; step < horizon_; ++step) {
-        const double t = static_cast<double>(n + step);
-        const double forecast = scratch.trend.evaluate(t) +
-            math::evaluateHarmonics(scratch.harmonics, t);
-        out[step] = std::max(0.0, forecast);
     }
 }
 

@@ -16,10 +16,10 @@
  *
  *  - default (exact) mode reproduces FftPredictor::forecastHorizon
  *    bit for bit: full-window lanes run the batched pipeline whose
- *    every stage replays the scalar operation sequence, and all other
- *    lanes (warm-up, short windows, silent windows,
- *    incremental-spectrum configs) take a scalar path that mirrors
- *    the predictor directly;
+ *    every stage replays the scalar operation sequence (silent full
+ *    windows skip it and forecast zeros), and all other lanes
+ *    (warm-up, short windows) call the predictor's own scalar core,
+ *    forecastWindow;
  *  - fast mode (ForecastPoolOptions::fast_path) swaps the harmonic
  *    fit and horizon trig for rotation recurrences, staying within
  *    1e-9 of the scalar forecast while roughly halving its cost.
@@ -119,13 +119,6 @@ class ForecastPool
         math::SeriesPowerTable powers;
         math::FactoredSystem trend_system;
         bool caches_ready = false;
-
-        /**
-         * incremental_spectrum configs keep per-lane scalar
-         * predictors: the sliding-DFT state is inherently
-         * per-function, so the pool delegates instead of batching.
-         */
-        std::vector<std::unique_ptr<FftPredictor>> scalar;
     };
 
     struct SlotRef
@@ -134,17 +127,12 @@ class ForecastPool
         std::uint32_t lane = 0;
     };
 
-    /** Per-worker scratch: block buffers + scalar-path workspaces. */
+    /** Per-worker scratch: block buffers + scalar-path workspace. */
     struct WorkerScratch
     {
         kernels::BlockScratch block;
-        std::vector<double> window; //!< linearized scalar window
-        std::vector<double> residual;
         std::vector<double> horizon_tmp;
-        math::Polynomial trend;
-        math::PolyfitWorkspace poly_ws;
-        math::HarmonicsWorkspace harm_ws;
-        std::vector<math::Harmonic> harmonics;
+        FipWorkspace fip;
     };
 
     struct BlockTask
@@ -157,9 +145,6 @@ class ForecastPool
     void ensureGroupCaches(Group &group);
     void runBlock(const Group &group, const BlockTask &task,
                   WorkerScratch &scratch);
-    /** Mirror of FftPredictor::forecastHorizon over one lane's ring. */
-    void forecastLaneScalar(const Group &group, std::uint32_t lane,
-                            WorkerScratch &scratch, double *out) const;
 
     ForecastPoolOptions options_;
     std::vector<Group> groups_;

@@ -305,57 +305,4 @@ TEST(FftPlanTest, RealForwardMatchesDirectDft)
     }
 }
 
-// ---------------------------------------------------------- SlidingDft
-
-TEST(SlidingDftTest, TracksFullRecomputeWithinTolerance)
-{
-    // Slide a random stream through both the incremental DFT and a
-    // from-scratch plan transform of the same window; the retained
-    // bins must stay within the predictor's 1e-6 agreement budget.
-    // 120 exercises the Bluestein resync, 64 the radix-2 one.
-    for (const std::size_t n : {64u, 120u}) {
-        iceb::Rng rng(0x51de0000 + n);
-        std::vector<double> window(n);
-        for (auto &v : window)
-            v = rng.uniform(0.0, 10.0);
-
-        FftScratch scratch;
-        SlidingDft sdft(n);
-        EXPECT_FALSE(sdft.valid());
-        sdft.resync(window.data(), n, scratch);
-        ASSERT_TRUE(sdft.valid());
-
-        const auto plan = fftPlanFor(n);
-        std::vector<Complex> reference(n);
-        for (int step = 0; step < 300; ++step) {
-            const double incoming = rng.uniform(0.0, 10.0);
-            sdft.slide(window.front(), incoming);
-            window.erase(window.begin());
-            window.push_back(incoming);
-
-            plan->forwardReal(window.data(), reference.data(), scratch);
-            for (std::size_t k = 0; k <= n / 2; ++k) {
-                EXPECT_NEAR(std::abs(sdft.bins()[k] - reference[k]),
-                            0.0, 1e-6)
-                    << "n=" << n << " step=" << step << " bin=" << k;
-            }
-        }
-    }
-}
-
-TEST(SlidingDftTest, InvalidateForcesResync)
-{
-    const std::size_t n = 16;
-    std::vector<double> window(n, 1.0);
-    FftScratch scratch;
-    SlidingDft sdft(n);
-    sdft.resync(window.data(), n, scratch);
-    EXPECT_TRUE(sdft.valid());
-    sdft.invalidate();
-    EXPECT_FALSE(sdft.valid());
-    sdft.resync(window.data(), n, scratch);
-    EXPECT_TRUE(sdft.valid());
-    EXPECT_NEAR(sdft.bins()[0].real(), static_cast<double>(n), 1e-9);
-}
-
 } // namespace

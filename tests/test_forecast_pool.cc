@@ -73,7 +73,7 @@ expectHorizonBitsEqual(const double *pool_out,
  * Roll `intervals` observation/forecast rounds over `functions`
  * functions with the given config, asserting the pool matches the
  * scalar predictor bit for bit at every round (including warm-up,
- * where lanes take the scalar mirror path).
+ * where lanes take the scalar core).
  */
 void
 rollAndCompare(const FftPredictorConfig &config, std::size_t functions,
@@ -140,7 +140,7 @@ TEST(ForecastPoolTest, BitIdenticalOddWindows)
 TEST(ForecastPoolTest, BitIdenticalBelowBatchThreshold)
 {
     // window < 8 never qualifies for the batch kernels: the scalar
-    // mirror must still match (including the min_samples mean path).
+    // core must still match (including the min_samples mean path).
     FftPredictorConfig config;
     config.window = 6;
     config.min_samples = 4;
@@ -153,15 +153,6 @@ TEST(ForecastPoolTest, BitIdenticalMoreLanesThanOneBlock)
     FftPredictorConfig config;
     config.window = 16;
     rollAndCompare(config, kernels::kLanes * 2 + 3, 40, 11);
-}
-
-TEST(ForecastPoolTest, BitIdenticalIncrementalSpectrumDelegates)
-{
-    FftPredictorConfig config;
-    config.window = 32;
-    config.incremental_spectrum = true;
-    config.resync_every = 16;
-    rollAndCompare(config, 4, 80, 11);
 }
 
 TEST(ForecastPoolTest, SilentFunctionForecastsZeros)

@@ -212,65 +212,6 @@ TEST(FftPredictorTest, RingBufferMatchesEraseWindowReference)
     }
 }
 
-TEST(FftPredictorTest, IncrementalSpectrumMatchesDefaultPath)
-{
-    // The opt-in sliding-DFT mode must agree with the default
-    // full-recompute path within 1e-6 at every step -- across many
-    // resync cadences, through the initial fill, and over enough
-    // slides to expose rotation drift if the resync policy failed to
-    // bound it.
-    FftPredictorConfig base;
-    base.window = 60;
-    for (const std::size_t resync_every : {1u, 16u, 64u}) {
-        FftPredictorConfig inc_config = base;
-        inc_config.incremental_spectrum = true;
-        inc_config.resync_every = resync_every;
-
-        FftPredictor reference(base);
-        FftPredictor incremental(inc_config);
-        std::vector<double> want, got;
-        for (int t = 0; t < 400; ++t) {
-            const double value = std::max(
-                0.0, 6.0 + 3.0 * std::cos(2.0 * M_PI * t / 12.5) +
-                    1.5 * std::cos(2.0 * M_PI * t / 30.0) + 0.01 * t);
-            reference.observe(value);
-            incremental.observe(value);
-            reference.forecastHorizon(8, want);
-            incremental.forecastHorizon(8, got);
-            for (std::size_t step = 0; step < want.size(); ++step) {
-                EXPECT_NEAR(got[step], want[step], 1e-6)
-                    << "resync=" << resync_every << " t=" << t
-                    << " step=" << step;
-            }
-        }
-    }
-}
-
-TEST(FftPredictorTest, IncrementalResetMatchesFreshPredictor)
-{
-    FftPredictorConfig config;
-    config.window = 32;
-    config.incremental_spectrum = true;
-    FftPredictor predictor(config);
-    for (int t = 0; t < 100; ++t)
-        predictor.observe(2.0 + std::cos(0.3 * t));
-    predictor.reset();
-    EXPECT_EQ(predictor.sampleCount(), 0u);
-    EXPECT_DOUBLE_EQ(predictor.predictNext(), 0.0);
-
-    FftPredictor fresh(config);
-    std::vector<double> a, b;
-    for (int t = 0; t < 80; ++t) {
-        const double value = 1.0 + std::cos(0.2 * t);
-        predictor.observe(value);
-        fresh.observe(value);
-        predictor.forecastHorizon(4, a);
-        fresh.forecastHorizon(4, b);
-        for (std::size_t step = 0; step < a.size(); ++step)
-            EXPECT_DOUBLE_EQ(a[step], b[step]) << "t=" << t;
-    }
-}
-
 // ---------------------------------------------------------------- ARIMA
 
 TEST(ArimaTest, ConstantSeries)
