@@ -58,7 +58,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -69,9 +68,10 @@
 #include <iostream>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_probe.hh"
+#include "common/worker_pool.hh"
 #include "math/fft.hh"
 #include "math/harmonics.hh"
 #include "math/matrix.hh"
@@ -79,38 +79,6 @@
 #include "math/stats.hh"
 #include "predictors/fft_predictor.hh"
 #include "predictors/forecast_pool.hh"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter. Counts every operator new in the
-// process, so the per-mode deltas are taken around single-threaded
-// measurement regions only.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<long long> g_alloc_count{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
 
 namespace legacy
 {
@@ -597,8 +565,9 @@ runGrid(const BenchConfig &cfg, MakeState make_state, Step step)
     std::vector<double> checksums(std::max<std::size_t>(1, cfg.threads),
                                   0.0);
 
-    const long long allocs_before =
-        g_alloc_count.load(std::memory_order_relaxed);
+    // Spawned before the timed, allocation-counted region.
+    iceb::WorkerPool pool(cfg.threads);
+    const long long allocs_before = bench::allocationCount();
     const auto start = Clock::now();
 
     if (cfg.threads <= 1) {
@@ -608,29 +577,22 @@ runGrid(const BenchConfig &cfg, MakeState make_state, Step step)
                 acc += step(states[fn], fn, warmup + t);
         checksums[0] = acc;
     } else {
-        // Shard functions across threads; each thread walks its own
+        // Shard functions across workers; shard w walks its own
         // predictors through every interval (the parallel-runner
         // geometry: functions are independent, intervals are not).
-        std::vector<std::thread> workers;
-        workers.reserve(cfg.threads);
-        for (std::size_t w = 0; w < cfg.threads; ++w) {
-            workers.emplace_back([&, w]() {
-                double acc = 0.0;
-                for (std::size_t fn = w; fn < cfg.functions;
-                     fn += cfg.threads) {
-                    for (std::size_t t = 0; t < cfg.intervals; ++t)
-                        acc += step(states[fn], fn, warmup + t);
-                }
-                checksums[w] = acc;
-            });
-        }
-        for (auto &worker : workers)
-            worker.join();
+        pool.run(cfg.threads, [&](std::size_t w, std::size_t) {
+            double acc = 0.0;
+            for (std::size_t fn = w; fn < cfg.functions;
+                 fn += cfg.threads) {
+                for (std::size_t t = 0; t < cfg.intervals; ++t)
+                    acc += step(states[fn], fn, warmup + t);
+            }
+            checksums[w] = acc;
+        });
     }
 
     const auto stop = Clock::now();
-    const long long allocs_after =
-        g_alloc_count.load(std::memory_order_relaxed);
+    const long long allocs_after = bench::allocationCount();
 
     ModeResult result;
     result.ns_per_forecast =
@@ -663,15 +625,13 @@ steadyStateAllocs(const BenchConfig &cfg)
         predictor.forecastHorizon(cfg.horizon, out);
     }
     const int iters = 512;
-    const long long before =
-        g_alloc_count.load(std::memory_order_relaxed);
+    const long long before = bench::allocationCount();
     for (int i = 0; i < iters; ++i) {
         predictor.observe(
             signalAt(3, cfg.window + 128 + static_cast<std::size_t>(i)));
         predictor.forecastHorizon(cfg.horizon, out);
     }
-    const long long after =
-        g_alloc_count.load(std::memory_order_relaxed);
+    const long long after = bench::allocationCount();
     return static_cast<double>(after - before) / iters;
 }
 
@@ -878,16 +838,14 @@ runBatch(const BenchConfig &cfg)
 
     // Steady-state allocation probe: one more observe+forecastAll
     // round per pool must not allocate at all.
-    const long long before =
-        g_alloc_count.load(std::memory_order_relaxed);
+    const long long before = bench::allocationCount();
     for (std::size_t fn = 0; fn < cfg.batch_functions; ++fn) {
         pool_exact.observe(fn, signalAt(fn, warm + rounds));
         pool_fast.observe(fn, signalAt(fn, warm + rounds));
     }
     pool_exact.forecastAll(cfg.horizon);
     pool_fast.forecastAll(cfg.horizon);
-    const long long after =
-        g_alloc_count.load(std::memory_order_relaxed);
+    const long long after = bench::allocationCount();
     r.steady_allocs = static_cast<double>(after - before) /
         static_cast<double>(cfg.batch_functions);
     return r;
@@ -908,14 +866,12 @@ configDigest(std::size_t window, std::size_t horizon,
                   "window=%zu;horizon=%zu;batch_functions=%zu;"
                   "batch_intervals=%zu",
                   window, horizon, batch_functions, batch_intervals);
-    unsigned long long hash = 1469598103934665603ull;
+    std::uint64_t hash = 1469598103934665603ull;
     for (const char *p = text; *p != '\0'; ++p) {
         hash ^= static_cast<unsigned char>(*p);
         hash *= 1099511628211ull;
     }
-    char out[32];
-    std::snprintf(out, sizeof(out), "0x%016llx", hash);
-    return out;
+    return bench::digestHex(hash);
 }
 
 /** Fields the baseline gate reads from a committed BENCH_fip.json. */
@@ -933,14 +889,7 @@ struct Baseline
 Baseline
 readBaseline(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_fip: cannot read baseline %s\n",
-                     path.c_str());
-        std::exit(1);
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    const std::string text = bench::readBaselineFile("bench_fip", path);
 
     const auto number = [&](const std::string &key, std::size_t from,
                             const char *what) -> double {

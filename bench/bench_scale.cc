@@ -53,21 +53,18 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <limits>
-#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_probe.hh"
 #include "core/icebreaker.hh"
 #include "harness/baseline_gate.hh"
 #include "obs/recorder.hh"
@@ -82,42 +79,12 @@
 #include "workload/benchmark_suite.hh"
 #include "workload/profile_matcher.hh"
 
-// ---------------------------------------------------------------------------
-// Global allocation counter (same probe as bench_sim): counts every
-// operator new in the process, so deltas are taken around
-// single-threaded measurement regions only.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<long long> g_alloc_count{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
 namespace
 {
 
 using namespace iceb;
+using bench::digestHex;
+using bench::hashMetrics;
 using Clock = std::chrono::steady_clock;
 
 struct BenchConfig
@@ -196,79 +163,6 @@ scaleCluster(std::size_t num_functions)
     for (int t = 0; t < kNumTiers; ++t)
         cluster.tiers[static_cast<std::size_t>(t)].server_count *= scale;
     return cluster;
-}
-
-// ------------------------------------------------------------ digesting
-
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (8 * byte)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1aDouble(std::uint64_t hash, double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return fnv1a(hash, bits);
-}
-
-/** Hash every result field (the byte-identity gate's comparator). */
-std::uint64_t
-hashMetrics(const sim::SimulationMetrics &m)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    hash = fnv1a(hash, m.invocations);
-    hash = fnv1a(hash, m.cold_starts);
-    hash = fnv1a(hash, m.warm_starts);
-    hash = fnv1a(hash, m.cold_no_container);
-    hash = fnv1a(hash, m.cold_all_busy);
-    hash = fnv1a(hash, m.cold_setup_attach);
-    hash = fnv1aDouble(hash, m.sum_service_ms);
-    hash = fnv1aDouble(hash, m.sum_wait_ms);
-    hash = fnv1aDouble(hash, m.sum_cold_ms);
-    hash = fnv1aDouble(hash, m.sum_exec_ms);
-    hash = fnv1aDouble(hash, m.sum_overhead_ms);
-    for (const auto *samples :
-         {&m.service_times_ms, &m.service_times_high_ms,
-          &m.service_times_low_ms}) {
-        hash = fnv1a(hash, samples->size());
-        for (float sample : *samples) {
-            std::uint32_t bits = 0;
-            std::memcpy(&bits, &sample, sizeof(bits));
-            hash = fnv1a(hash, bits);
-        }
-    }
-    for (const sim::FunctionMetrics &fm : m.per_function) {
-        hash = fnv1a(hash, fm.invocations);
-        hash = fnv1a(hash, fm.cold_starts);
-        hash = fnv1a(hash, fm.warm_starts);
-        hash = fnv1aDouble(hash, fm.sum_service_ms);
-        hash = fnv1aDouble(hash, fm.sum_wait_ms);
-        hash = fnv1aDouble(hash, fm.sum_cold_ms);
-        hash = fnv1aDouble(hash, fm.sum_exec_ms);
-        hash = fnv1aDouble(hash, fm.keep_alive_cost);
-    }
-    for (int t = 0; t < kNumTiers; ++t) {
-        hash = fnv1aDouble(hash, m.keep_alive[t].successful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasteful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasted_mb_ms);
-    }
-    return hash;
-}
-
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buffer[20];
-    std::snprintf(buffer, sizeof(buffer), "0x%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buffer;
 }
 
 // --------------------------------------------------------------- timing
@@ -389,20 +283,6 @@ hintsFrom(const sim::SimulationMetrics &m)
     hints.evict_entries = m.event_loop.peak_evict_entries;
     hints.wait_queue = m.event_loop.peak_wait_queue;
     return hints;
-}
-
-/** Whole baseline file as a string; exits with a message if absent. */
-std::string
-readBaselineFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_scale: cannot read baseline %s\n",
-                     path.c_str());
-        std::exit(1);
-    }
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
 }
 
 // ----------------------------------------------------------------- json
@@ -636,11 +516,9 @@ main(int argc, char **argv)
             options.hints = hints;
             sim::Simulator hinted(source, profiles, cluster, policy,
                                   options);
-            const long long before =
-                g_alloc_count.load(std::memory_order_relaxed);
+            const long long before = bench::allocationCount();
             (void)hinted.run();
-            hinted_allocs =
-                g_alloc_count.load(std::memory_order_relaxed) - before;
+            hinted_allocs = bench::allocationCount() - before;
         }
         std::printf("allocations in hinted streamed run(): %lld\n",
                     hinted_allocs);
@@ -852,7 +730,8 @@ main(int argc, char **argv)
         return 1;
     }
     if (!cfg.baseline_path.empty()) {
-        const std::string baseline = readBaselineFile(cfg.baseline_path);
+        const std::string baseline =
+            bench::readBaselineFile("bench_scale", cfg.baseline_path);
 
         // The fixed digest is machine-independent: exact equality.
         const std::optional<std::string> committed =

@@ -66,22 +66,20 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <limits>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_probe.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
+#include "common/worker_pool.hh"
 #include "core/icebreaker.hh"
 #include "harness/baseline_gate.hh"
 #include "legacy_sim.hh"
@@ -90,42 +88,12 @@
 #include "sim/sharded_simulator.hh"
 #include "sim/simulator.hh"
 
-// ---------------------------------------------------------------------------
-// Global allocation counter. Counts every operator new in the
-// process, so deltas are taken around single-threaded measurement
-// regions only.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<long long> g_alloc_count{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
 namespace
 {
 
 using namespace iceb;
+using bench::digestHex;
+using bench::hashMetrics;
 using Clock = std::chrono::steady_clock;
 
 struct BenchConfig
@@ -240,68 +208,6 @@ buildWorkload(const BenchConfig &cfg)
 
 // ------------------------------------------------------------ agreement
 
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (8 * byte)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1aDouble(std::uint64_t hash, double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return fnv1a(hash, bits);
-}
-
-/** Hash every output both cores share (event_loop is new-only). */
-std::uint64_t
-hashMetrics(const sim::SimulationMetrics &m)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    hash = fnv1a(hash, m.invocations);
-    hash = fnv1a(hash, m.cold_starts);
-    hash = fnv1a(hash, m.warm_starts);
-    hash = fnv1a(hash, m.cold_no_container);
-    hash = fnv1a(hash, m.cold_all_busy);
-    hash = fnv1a(hash, m.cold_setup_attach);
-    hash = fnv1aDouble(hash, m.sum_service_ms);
-    hash = fnv1aDouble(hash, m.sum_wait_ms);
-    hash = fnv1aDouble(hash, m.sum_cold_ms);
-    hash = fnv1aDouble(hash, m.sum_exec_ms);
-    hash = fnv1aDouble(hash, m.sum_overhead_ms);
-    for (const auto *samples :
-         {&m.service_times_ms, &m.service_times_high_ms,
-          &m.service_times_low_ms}) {
-        hash = fnv1a(hash, samples->size());
-        for (float sample : *samples) {
-            std::uint32_t bits = 0;
-            std::memcpy(&bits, &sample, sizeof(bits));
-            hash = fnv1a(hash, bits);
-        }
-    }
-    for (const sim::FunctionMetrics &fm : m.per_function) {
-        hash = fnv1a(hash, fm.invocations);
-        hash = fnv1a(hash, fm.cold_starts);
-        hash = fnv1a(hash, fm.warm_starts);
-        hash = fnv1aDouble(hash, fm.sum_service_ms);
-        hash = fnv1aDouble(hash, fm.sum_wait_ms);
-        hash = fnv1aDouble(hash, fm.sum_cold_ms);
-        hash = fnv1aDouble(hash, fm.sum_exec_ms);
-        hash = fnv1aDouble(hash, fm.keep_alive_cost);
-    }
-    for (int t = 0; t < kNumTiers; ++t) {
-        hash = fnv1aDouble(hash, m.keep_alive[t].successful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasteful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasted_mb_ms);
-    }
-    return hash;
-}
-
 sim::SimulationMetrics
 runLegacy(const BenchWorkload &w)
 {
@@ -355,15 +261,6 @@ runSharded(const BenchWorkload &w, std::size_t workers)
                               options);
 }
 
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buffer[20];
-    std::snprintf(buffer, sizeof(buffer), "0x%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buffer;
-}
-
 // --------------------------------------------------------------- timing
 
 struct CoreTiming
@@ -404,17 +301,8 @@ timeCore(RunFn &&run_fn, std::size_t repeats, std::size_t threads,
                              .count());
         }
     } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t) {
-            pool.emplace_back([&] {
-                while (next.fetch_add(1) < repeats)
-                    run_fn();
-            });
-        }
-        for (std::thread &worker : pool)
-            worker.join();
+        WorkerPool(threads).run(repeats,
+                                [&](std::size_t, std::size_t) { run_fn(); });
     }
     const auto end = Clock::now();
 
@@ -515,20 +403,6 @@ writeJson(const BenchConfig &cfg, std::uint64_t events,
         << ", \"peak_evict_entries\": " << stats.peak_evict_entries
         << ", \"peak_wait_queue\": " << stats.peak_wait_queue << "}\n";
     out << "}\n";
-}
-
-/** Whole baseline file as a string; exits with a message if absent. */
-std::string
-readBaselineFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_sim: cannot read baseline %s\n",
-                     path.c_str());
-        std::exit(1);
-    }
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
 }
 
 [[noreturn]] void
@@ -637,22 +511,18 @@ main(int argc, char **argv)
     {
         policies::OpenWhiskPolicy policy;
         sim::Simulator sim(w.tr, w.profiles, w.cluster, policy, {});
-        const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        const long long before = bench::allocationCount();
         (void)sim.run();
-        calib_allocs =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
+        calib_allocs = bench::allocationCount() - before;
     }
     {
         policies::OpenWhiskPolicy policy;
         sim::SimulatorOptions options;
         options.hints = hints;
         sim::Simulator sim(w.tr, w.profiles, w.cluster, policy, options);
-        const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        const long long before = bench::allocationCount();
         (void)sim.run();
-        hinted_allocs =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
+        hinted_allocs = bench::allocationCount() - before;
     }
     // The same hinted run with latency histograms attached: record()
     // is array increments into a preconstructed set, so telemetry must
@@ -668,11 +538,9 @@ main(int argc, char **argv)
         options.hints = hints;
         options.recorder = &recorder;
         sim::Simulator sim(w.tr, w.profiles, w.cluster, policy, options);
-        const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+        const long long before = bench::allocationCount();
         (void)sim.run();
-        hinted_hist_allocs =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
+        hinted_hist_allocs = bench::allocationCount() - before;
     }
     std::printf("allocations in run(): calibration %lld, hinted %lld "
                 "(%.6f per invocation), hinted+histograms %lld\n",
@@ -807,7 +675,7 @@ main(int argc, char **argv)
     }
     if (!cfg.baseline_path.empty()) {
         const std::string baseline =
-            readBaselineFile(cfg.baseline_path);
+            bench::readBaselineFile("bench_sim", cfg.baseline_path);
 
         // Ratio-of-rates on the same machine in the same process:
         // machine speed cancels out, leaving only what the live core

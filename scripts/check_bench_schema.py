@@ -10,8 +10,12 @@ dashboards) must hear about, so it must be made consciously by
 re-running with --update.
 
 Usage:
-    check_bench_schema.py PATH_TO_BENCH [--golden PATH] [--args "..."]
+    check_bench_schema.py PATH_TO_BENCH [--golden PATH] [--args ARGS]
                           [--json-flag FLAG] [--update]
+
+ARGS is one shell-quoted string of bench arguments and may itself
+start with a dash: --args "--smoke", --args=--smoke and
+--args "--smoke --shards 2" all work.
 
 Defaults preserve the original bench_sim invocation: golden file
 tests/golden/bench_sim_schema.txt, args "--shards 2 --smoke", JSON
@@ -31,6 +35,7 @@ import tempfile
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_GOLDEN = REPO / "tests" / "golden" / "bench_sim_schema.txt"
 DEFAULT_ARGS = "--shards 2 --smoke"
+VALUE_OPTIONS = ("--golden", "--args", "--json-flag")
 
 
 def key_paths(value, prefix=""):
@@ -48,6 +53,24 @@ def key_paths(value, prefix=""):
     return sorted(set(paths))
 
 
+def glue_option_values(argv):
+    """Join each value option to its value (``--args X`` -> ``--args=X``).
+
+    argparse reads a lone value that looks like a flag, such as
+    ``--smoke``, as an option of its own and then reports that --args
+    "expected one argument"; the joined form is always read as a value.
+    """
+    glued = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in VALUE_OPTIONS:
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        glued.append(token)
+    return glued
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -63,7 +86,7 @@ def main(argv):
                              "path through (default --json)")
     parser.add_argument("--update", action="store_true",
                         help="re-bless the golden file")
-    opts = parser.parse_args(argv[1:])
+    opts = parser.parse_args(glue_option_values(argv[1:]))
 
     with tempfile.TemporaryDirectory() as tmp:
         out_path = pathlib.Path(tmp) / "bench.json"

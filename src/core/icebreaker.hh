@@ -77,8 +77,9 @@ struct IceBreakerConfig
      * per-function FftPredictor instances; fip_fast_batch opts into
      * the rotation-recurrence fast path (<= 1e-9 per forecast, the
      * "icebreaker-fastfip" registry scheme). fip_threads > 1
-     * forecasts blocks in parallel and stays byte-identical for any
-     * thread count.
+     * forecasts blocks in parallel on the pool's persistent
+     * WorkerPool (spawned once per initialize(), not per interval)
+     * and stays byte-identical for any thread count.
      */
     bool fip_fast_batch = false;
     std::size_t fip_threads = 1;

@@ -1,9 +1,9 @@
 #include "harness/runner.hh"
 
-#include <atomic>
-#include <thread>
+#include <algorithm>
 
 #include "common/logging.hh"
+#include "common/worker_pool.hh"
 #include "harness/observe.hh"
 #include "harness/registry.hh"
 
@@ -13,11 +13,8 @@ namespace iceb::harness
 ExperimentRunner::ExperimentRunner(std::size_t threads)
     : threads_(threads)
 {
-    if (threads_ == 0) {
-        threads_ = std::thread::hardware_concurrency();
-        if (threads_ == 0)
-            threads_ = 1;
-    }
+    if (threads_ == 0)
+        threads_ = hardwareThreads();
 }
 
 ExperimentRunner::~ExperimentRunner() = default;
@@ -56,45 +53,24 @@ ExperimentRunner::run(const std::vector<RunSpec> &grid) const
     const obs::ObsConfig obs_config =
         observe ? observation_->runConfig() : obs::ObsConfig{};
 
-    std::atomic<std::size_t> next{0};
-
-    const auto worker = [&grid, &results, &next, &registry, &recorders,
-                         &obs_config, observe] {
-        while (true) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= grid.size())
-                return;
-            const RunSpec &spec = grid[i];
-            const std::unique_ptr<sim::Policy> policy =
-                registry.make(spec.scheme);
-            sim::SimulatorOptions options = sim::SimulatorOptions::forRun(
-                spec.base_seed, spec.run_index);
-            options.shards = spec.shards;
-            options.max_cells = spec.max_cells;
-            if (observe) {
-                recorders[i] =
-                    std::make_unique<obs::RunRecorder>(obs_config);
-                options.recorder = recorders[i].get();
-            }
-            results[i].spec = spec;
-            results[i].metrics = sim::runSimulation(
-                spec.workload->trace, spec.workload->profiles,
-                spec.cluster, *policy, options);
+    WorkerPool pool(std::min(threads_, grid.size()));
+    pool.run(grid.size(), [&](std::size_t i, std::size_t) {
+        const RunSpec &spec = grid[i];
+        const std::unique_ptr<sim::Policy> policy =
+            registry.make(spec.scheme);
+        sim::SimulatorOptions options = sim::SimulatorOptions::forRun(
+            spec.base_seed, spec.run_index);
+        options.shards = spec.shards;
+        options.max_cells = spec.max_cells;
+        if (observe) {
+            recorders[i] = std::make_unique<obs::RunRecorder>(obs_config);
+            options.recorder = recorders[i].get();
         }
-    };
-
-    const std::size_t workers = std::min(threads_, grid.size());
-    if (workers <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t i = 0; i < workers; ++i)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+        results[i].spec = spec;
+        results[i].metrics = sim::runSimulation(
+            spec.workload->trace, spec.workload->profiles, spec.cluster,
+            *policy, options);
+    });
 
     if (observe)
         writeObservations(*observation_, results, recorders);

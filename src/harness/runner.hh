@@ -3,9 +3,9 @@
  * The parallel experiment engine.
  *
  * An ExperimentRunner executes a declarative grid of RunSpecs —
- * (scheme × seed replicate × sweep point) — on a fixed-size thread
- * pool and returns results in grid order regardless of completion
- * order.
+ * (scheme × seed replicate × sweep point) — on a WorkerPool of
+ * min(threads, grid size) lanes and returns results in grid order
+ * regardless of completion order.
  *
  * Determinism contract: a run's output depends only on its RunSpec.
  * Each run owns its entire mutable state (Simulator, ClusterState,

@@ -1,7 +1,6 @@
 #include "predictors/forecast_pool.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/logging.hh"
 
@@ -17,10 +16,10 @@ constexpr std::size_t L = kernels::kLanes;
 } // namespace
 
 ForecastPool::ForecastPool(ForecastPoolOptions options)
-    : options_(options)
+    : options_(options), executor_(options.threads),
+      workers_(executor_.lanes())
 {
-    if (options_.threads == 0)
-        options_.threads = 1;
+    options_.threads = executor_.lanes();
 }
 
 std::size_t
@@ -177,30 +176,11 @@ ForecastPool::forecastAll(std::size_t horizon)
         }
     }
 
-    std::size_t threads = std::min(options_.threads, tasks_.size());
-    if (threads == 0)
-        threads = 1;
-    workers_.resize(std::max(workers_.size(), threads));
-
-    if (threads == 1) {
-        for (const BlockTask &task : tasks_)
-            runBlock(groups_[task.group], task, workers_[0]);
-        return;
-    }
-    // Fixed interleaved assignment: worker t takes tasks t, t+T,
-    // t+2T, ... Every lane's output region is disjoint, so the
-    // partition affects scheduling only, never values.
-    const auto worker_fn = [this, threads](std::size_t t) {
-        for (std::size_t i = t; i < tasks_.size(); i += threads)
-            runBlock(groups_[tasks_[i].group], tasks_[i], workers_[t]);
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (std::size_t t = 1; t < threads; ++t)
-        pool.emplace_back(worker_fn, t);
-    worker_fn(0);
-    for (std::thread &th : pool)
-        th.join();
+    // Every block writes only its own lanes' forecasts, so which
+    // worker runs which block affects scheduling only, never values.
+    executor_.run(tasks_.size(), [this](std::size_t i, std::size_t worker) {
+        runBlock(groups_[tasks_[i].group], tasks_[i], workers_[worker]);
+    });
 }
 
 const double *

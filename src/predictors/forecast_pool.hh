@@ -7,10 +7,11 @@
  * configuration so one cached FftPlan (and one factored trend system)
  * drives block transforms over many functions at once. forecastAll()
  * forecasts kLanes functions per block through the SoA kernels in
- * forecast_kernels.cc, optionally thread-parallel: blocks are
- * assigned to workers by a fixed interleaving of a deterministic task
- * list and every lane's arithmetic is lane-local, so results are
- * byte-identical for any --threads value.
+ * forecast_kernels.cc, optionally thread-parallel: the pool owns one
+ * persistent WorkerPool whose workers claim blocks of a deterministic
+ * task list, each worker with its own scratch. Every lane's
+ * arithmetic is lane-local and each block writes only its own lanes'
+ * forecasts, so results are byte-identical for any --threads value.
  *
  * Equivalence contract (enforced by tests):
  *
@@ -36,6 +37,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/worker_pool.hh"
 #include "predictors/fft_predictor.hh"
 #include "predictors/forecast_kernels.hh"
 
@@ -53,7 +55,11 @@ struct ForecastPoolOptions
      */
     bool fast_path = false;
 
-    /** Worker threads for forecastAll (1 = inline, deterministic). */
+    /**
+     * Workers for forecastAll, including the calling thread (0 or
+     * 1 = inline, no threads). They are spawned once, when the
+     * ForecastPool is built, and reused by every forecastAll.
+     */
     std::size_t threads = 1;
 };
 
@@ -156,6 +162,8 @@ class ForecastPool
     /** Slot-major results: forecasts_[slot * horizon_ + step]. */
     std::vector<double> forecasts_;
     std::vector<BlockTask> tasks_;
+    WorkerPool executor_;
+    /** One scratch per executor lane, indexed by that lane. */
     std::vector<WorkerScratch> workers_;
 };
 

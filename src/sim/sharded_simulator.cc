@@ -1,17 +1,13 @@
 #include "sim/sharded_simulator.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/worker_pool.hh"
 #include "obs/probes.hh"
 #include "obs/recorder.hh"
 
@@ -156,101 +152,6 @@ class CellAdapter final : public Policy
 };
 
 /**
- * A tiny persistent worker pool for the per-interval cell phases.
- * run() hands out cell indices via an atomic counter — which worker
- * executes which cell can never affect results, because cells share
- * nothing between barriers. The calling thread participates, so a
- * pool of N lanes spawns N - 1 threads.
- */
-class CellPool
-{
-  public:
-    explicit CellPool(std::size_t lanes)
-    {
-        const std::size_t spawn = lanes > 0 ? lanes - 1 : 0;
-        threads_.reserve(spawn);
-        for (std::size_t i = 0; i < spawn; ++i)
-            threads_.emplace_back([this] { workerLoop(); });
-    }
-
-    ~CellPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        work_cv_.notify_all();
-        for (std::thread &t : threads_)
-            t.join();
-    }
-
-    void run(std::size_t count,
-             const std::function<void(std::size_t)> &fn)
-    {
-        if (count == 0)
-            return;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            job_ = &fn;
-            job_count_ = count;
-            next_.store(0, std::memory_order_relaxed);
-            active_ = threads_.size();
-            ++generation_;
-        }
-        work_cv_.notify_all();
-        claimCells();
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [this] { return active_ == 0; });
-        job_ = nullptr;
-    }
-
-  private:
-    void claimCells()
-    {
-        while (true) {
-            const std::size_t cell =
-                next_.fetch_add(1, std::memory_order_relaxed);
-            if (cell >= job_count_)
-                return;
-            (*job_)(cell);
-        }
-    }
-
-    void workerLoop()
-    {
-        std::uint64_t seen = 0;
-        while (true) {
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                work_cv_.wait(lock, [this, seen] {
-                    return stop_ || generation_ != seen;
-                });
-                if (stop_)
-                    return;
-                seen = generation_;
-            }
-            claimCells();
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                --active_;
-            }
-            done_cv_.notify_all();
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable work_cv_;
-    std::condition_variable done_cv_;
-    const std::function<void(std::size_t)> *job_ = nullptr;
-    std::size_t job_count_ = 0;
-    std::atomic<std::size_t> next_{0};
-    std::size_t active_ = 0;
-    std::uint64_t generation_ = 0;
-    bool stop_ = false;
-    std::vector<std::thread> threads_;
-};
-
-/**
  * The per-cell workload source: a TraceSource whose windows the
  * coordinator fills at each barrier by scattering the GLOBAL window's
  * arrivals to their owning cells, in window order, re-ranking each by
@@ -336,7 +237,12 @@ struct ShardedSimulator::Impl
     OracleContext oracle_context;
 
     std::unique_ptr<WarmupInterface> facade;
-    std::unique_ptr<shard_impl::CellPool> pool;
+    /**
+     * Runs the per-interval cell phases. Cells share nothing between
+     * barriers, so which lane steps which cell never affects results.
+     * One lane (no threads) unless the run is parallel.
+     */
+    WorkerPool pool{1};
 
     obs::ProbeTable *probes = nullptr;
 
@@ -367,7 +273,13 @@ struct ShardedSimulator::Impl
 
     void setup();
     void scatterWindow(IntervalIndex interval);
-    void runCells(const std::function<void(std::size_t)> &fn);
+    /** Call fn(cell) for every cell on the pool. */
+    template <typename Fn>
+    void runCells(Fn &&fn)
+    {
+        pool.run(cells.size(),
+                 [&fn](std::size_t cell, std::size_t) { fn(cell); });
+    }
     void sampleProbes(IntervalIndex interval);
 
     ClusterState &cellCluster(FunctionId fn)
@@ -527,10 +439,8 @@ ShardedSimulator::Impl::setup()
 
     parallel = policy.shardCompatible() && options.shards > 1 &&
         num_cells > 1;
-    if (parallel) {
-        pool = std::make_unique<shard_impl::CellPool>(
-            std::min(options.shards, num_cells));
-    }
+    if (parallel)
+        pool = WorkerPool(std::min(options.shards, num_cells));
 
 }
 
@@ -552,18 +462,6 @@ ShardedSimulator::Impl::scatterWindow(IntervalIndex interval)
         rec.rank = static_cast<std::uint32_t>(buf.size());
         buf.push_back(rec);
     }
-}
-
-void
-ShardedSimulator::Impl::runCells(
-    const std::function<void(std::size_t)> &fn)
-{
-    if (pool != nullptr) {
-        pool->run(cells.size(), fn);
-        return;
-    }
-    for (std::size_t cell = 0; cell < cells.size(); ++cell)
-        fn(cell);
 }
 
 void

@@ -291,6 +291,9 @@ TEST(ForecastPoolTest, ResetMirrorsScalarReset)
 
 TEST(ForecastPoolTest, ThreadCountDoesNotChangeBits)
 {
+    // One pool per thread count, reused by every forecastAll round:
+    // its persistent workers must reproduce the inline bits at every
+    // round, not only the last.
     FftPredictorConfig config;
     config.window = 60;
     const std::size_t functions = 37;
@@ -307,18 +310,22 @@ TEST(ForecastPoolTest, ThreadCountDoesNotChangeBits)
             for (std::size_t fn = 0; fn < functions; ++fn)
                 pool.observe(fn, signalAt(fn, t));
             pool.forecastAll(horizon);
+            for (std::size_t fn = 0; fn < functions; ++fn)
+                out.insert(out.end(), pool.forecast(fn),
+                           pool.forecast(fn) + horizon);
         }
-        for (std::size_t fn = 0; fn < functions; ++fn)
-            out.insert(out.end(), pool.forecast(fn),
-                       pool.forecast(fn) + horizon);
         return out;
     };
 
     const std::vector<double> one = run(1);
-    const std::vector<double> four = run(4);
-    ASSERT_EQ(one.size(), four.size());
-    for (std::size_t i = 0; i < one.size(); ++i)
-        ASSERT_EQ(bits(one[i]), bits(four[i])) << "i=" << i;
+    for (const std::size_t threads : {2u, 4u}) {
+        const std::vector<double> many = run(threads);
+        ASSERT_EQ(one.size(), many.size());
+        for (std::size_t i = 0; i < one.size(); ++i)
+            ASSERT_EQ(bits(one[i]), bits(many[i]))
+                << "threads=" << threads << " round="
+                << i / (functions * horizon) << " i=" << i;
+    }
 }
 
 TEST(ForecastPoolTest, ThreadedExactModeMatchesScalar)
