@@ -26,12 +26,13 @@
  * <= 1e-9), at --batch-functions scale (default 10000, accepted up to
  * 1M synthetic histories).
  *
- * Flags:
+ * Flags (parsed by bench_util's parseFlags, like every bench: a bad
+ * or non-positive value exits 1 with a usage message naming the flag):
  *   --functions N / --intervals N   grid size (default 64 x 400)
  *   --window N                      FIP window (default 120, non-pow2)
  *   --threads N                     shard functions across N threads
  *   --batch-functions N             batch-section fleet size
- *                                   (default 10000, up to 1M)
+ *                                   (default 10000, capped at 1M)
  *   --batch-intervals N             timed rounds per batch mode
  *                                   (default 3)
  *   --json PATH                     output path (default BENCH_fip.json)
@@ -44,12 +45,13 @@
  *                                   the pool allocates in steady
  *                                   state. Absolute timings are NOT
  *                                   gated (CI noise).
- *   --baseline PATH                 gate the batch fast-vs-scalar
- *                                   speedup against a committed
- *                                   BENCH_fip.json: re-runs at the
- *                                   committed batch scale (best of 5
- *                                   rounds) and fails if more than 2%
- *                                   below it. Refuses loudly if the
+ *   --baseline PATH                 [batch speedup] -- gate the batch
+ *                                   fast-vs-scalar speedup against a
+ *                                   committed BENCH_fip.json: re-runs
+ *                                   at the committed batch scale and
+ *                                   fails if more than 2% below it
+ *                                   (harness::gateBestOf: best of up
+ *                                   to 5 rounds). Refuses loudly if the
  *                                   committed config digest does not
  *                                   match its recorded window/horizon/
  *                                   batch geometry (stale baseline) or
@@ -71,7 +73,9 @@
 #include <vector>
 
 #include "bench/bench_probe.hh"
+#include "bench/bench_util.hh"
 #include "common/worker_pool.hh"
+#include "harness/baseline_gate.hh"
 #include "math/fft.hh"
 #include "math/harmonics.hh"
 #include "math/matrix.hh"
@@ -591,13 +595,11 @@ runGrid(const BenchConfig &cfg, MakeState make_state, Step step)
         });
     }
 
-    const auto stop = Clock::now();
+    const double elapsed_ms = bench::elapsedMs(start);
     const long long allocs_after = bench::allocationCount();
 
     ModeResult result;
-    result.ns_per_forecast =
-        std::chrono::duration<double, std::nano>(stop - start).count() /
-        static_cast<double>(total);
+    result.ns_per_forecast = elapsed_ms * 1e6 / static_cast<double>(total);
     result.allocs_per_forecast =
         static_cast<double>(allocs_after - allocs_before) /
         static_cast<double>(total);
@@ -646,14 +648,12 @@ benchFftKernel(const BenchConfig &cfg, double &legacy_ns, double &plan_ns)
     const int iters = cfg.smoke ? 50 : 2000;
     double sink = 0.0;
 
-    auto t0 = Clock::now();
+    auto start = Clock::now();
     for (int i = 0; i < iters; ++i) {
         series[0] = static_cast<double>(i % 17);
         sink += std::abs(legacy::fftReal(series)[3]);
     }
-    auto t1 = Clock::now();
-    legacy_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
+    legacy_ns = bench::elapsedMs(start) * 1e6 / iters;
 
     const auto plan = iceb::math::fftPlanFor(cfg.window);
     iceb::math::FftScratch scratch;
@@ -661,15 +661,13 @@ benchFftKernel(const BenchConfig &cfg, double &legacy_ns, double &plan_ns)
     // Prime the scratch so the timed loop is allocation-free.
     plan->forwardReal(series.data(), spectrum.data(), scratch);
 
-    t0 = Clock::now();
+    start = Clock::now();
     for (int i = 0; i < iters; ++i) {
         series[0] = static_cast<double>(i % 17);
         plan->forwardReal(series.data(), spectrum.data(), scratch);
         sink += std::abs(spectrum[3]);
     }
-    t1 = Clock::now();
-    plan_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
+    plan_ns = bench::elapsedMs(start) * 1e6 / iters;
 
     if (sink == 42.0)
         std::cout << "";
@@ -783,38 +781,32 @@ runBatch(const BenchConfig &cfg)
     // the post-timing states line up for the equivalence sweep.
     const std::size_t rounds = cfg.batch_intervals;
 
-    auto t0 = Clock::now();
+    auto start = Clock::now();
     for (std::size_t rd = 0; rd < rounds; ++rd) {
         for (std::size_t fn = 0; fn < r.scalar_sample; ++fn) {
             scalar[fn].observe(signalAt(fn, warm + rd));
             scalar[fn].forecastHorizon(cfg.horizon, out);
         }
     }
-    auto t1 = Clock::now();
-    r.scalar_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
+    r.scalar_ns = bench::elapsedMs(start) * 1e6 /
         static_cast<double>(r.scalar_sample * rounds);
 
-    t0 = Clock::now();
+    start = Clock::now();
     for (std::size_t rd = 0; rd < rounds; ++rd) {
         for (std::size_t fn = 0; fn < cfg.batch_functions; ++fn)
             pool_exact.observe(fn, signalAt(fn, warm + rd));
         pool_exact.forecastAll(cfg.horizon);
     }
-    t1 = Clock::now();
-    r.exact_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
+    r.exact_ns = bench::elapsedMs(start) * 1e6 /
         static_cast<double>(cfg.batch_functions * rounds);
 
-    t0 = Clock::now();
+    start = Clock::now();
     for (std::size_t rd = 0; rd < rounds; ++rd) {
         for (std::size_t fn = 0; fn < cfg.batch_functions; ++fn)
             pool_fast.observe(fn, signalAt(fn, warm + rd));
         pool_fast.forecastAll(cfg.horizon);
     }
-    t1 = Clock::now();
-    r.fast_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
+    r.fast_ns = bench::elapsedMs(start) * 1e6 /
         static_cast<double>(cfg.batch_functions * rounds);
 
     // Equivalence sweep over a bounded subset (the scalar forecast is
@@ -856,6 +848,9 @@ runBatch(const BenchConfig &cfg)
  * baseline gate refuses to compare runs whose digests disagree, so a
  * committed BENCH_fip.json can never silently gate a differently
  * configured run (the staleness failure mode this replaces).
+ *
+ * The basis is the standard one short of its last digit; every
+ * committed config_digest was computed with it, so it stays.
  */
 std::string
 configDigest(std::size_t window, std::size_t horizon,
@@ -866,12 +861,7 @@ configDigest(std::size_t window, std::size_t horizon,
                   "window=%zu;horizon=%zu;batch_functions=%zu;"
                   "batch_intervals=%zu",
                   window, horizon, batch_functions, batch_intervals);
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const char *p = text; *p != '\0'; ++p) {
-        hash ^= static_cast<unsigned char>(*p);
-        hash *= 1099511628211ull;
-    }
-    return bench::digestHex(hash);
+    return bench::digestHex(bench::hashText(text, 1469598103934665603ull));
 }
 
 /** Fields the baseline gate reads from a committed BENCH_fip.json. */
@@ -885,58 +875,44 @@ struct Baseline
     std::string digest;
 };
 
-/** Flat string scan (the file is written by this bench itself). */
+/**
+ * The gate's fields from a committed BENCH_fip.json. The batch
+ * geometry and speedup are read from the "batch" section on, since
+ * "functions" and "intervals" also name the grid at the top level.
+ */
 Baseline
 readBaseline(const std::string &path)
 {
     const std::string text = bench::readBaselineFile("bench_fip", path);
-
-    const auto number = [&](const std::string &key, std::size_t from,
-                            const char *what) -> double {
-        const std::size_t pos = text.find(key, from);
-        if (pos == std::string::npos) {
+    const auto require = [&](auto value, const char *what) {
+        if (!value) {
             std::fprintf(stderr,
                          "bench_fip: baseline %s has no %s -- "
                          "regenerate it with a batch-mode run\n",
                          path.c_str(), what);
             std::exit(1);
         }
-        return std::strtod(text.c_str() + pos + key.size(), nullptr);
+        return *value;
+    };
+    const std::size_t batch_pos = text.find("\"batch\":");
+    const std::string batch = text.substr(
+        batch_pos == std::string::npos ? text.size() : batch_pos);
+    const auto count = [&](const std::string &in, const char *key,
+                           const char *what) {
+        return static_cast<std::size_t>(
+            require(iceb::harness::findJsonNumber(in, key), what));
     };
 
     Baseline base;
-    base.window = static_cast<std::size_t>(
-        number("\"window\":", 0, "window"));
-    base.horizon = static_cast<std::size_t>(
-        number("\"horizon\":", 0, "horizon"));
-    const std::size_t batch_pos = text.find("\"batch\":");
-    if (batch_pos == std::string::npos) {
-        std::fprintf(stderr,
-                     "bench_fip: baseline %s has no batch section -- "
-                     "regenerate it with a batch-mode run\n",
-                     path.c_str());
-        std::exit(1);
-    }
-    base.batch_functions = static_cast<std::size_t>(
-        number("\"functions\":", batch_pos, "batch functions"));
-    base.batch_intervals = static_cast<std::size_t>(
-        number("\"intervals\":", batch_pos, "batch intervals"));
-    base.speedup_fast_vs_scalar = number("\"speedup_fast_vs_scalar\":",
-                                         batch_pos,
-                                         "speedup_fast_vs_scalar");
-
-    const std::string digest_key = "\"config_digest\": \"";
-    const std::size_t digest_pos = text.find(digest_key);
-    if (digest_pos == std::string::npos) {
-        std::fprintf(stderr,
-                     "bench_fip: baseline %s has no config_digest -- "
-                     "regenerate it with a batch-mode run\n",
-                     path.c_str());
-        std::exit(1);
-    }
-    const std::size_t digest_start = digest_pos + digest_key.size();
-    const std::size_t digest_end = text.find('"', digest_start);
-    base.digest = text.substr(digest_start, digest_end - digest_start);
+    base.window = count(text, "window", "window");
+    base.horizon = count(text, "horizon", "horizon");
+    base.batch_functions = count(batch, "functions", "batch functions");
+    base.batch_intervals = count(batch, "intervals", "batch intervals");
+    base.speedup_fast_vs_scalar = require(
+        iceb::harness::findJsonNumber(batch, "speedup_fast_vs_scalar"),
+        "batch speedup_fast_vs_scalar");
+    base.digest = require(iceb::harness::findJsonString(text, "config_digest"),
+                          "config_digest");
     return base;
 }
 
@@ -1018,43 +994,38 @@ int
 main(int argc, char **argv)
 {
     BenchConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--functions") {
-            cfg.functions = std::stoul(next());
-        } else if (arg == "--intervals") {
-            cfg.intervals = std::stoul(next());
-        } else if (arg == "--window") {
-            cfg.window = std::stoul(next());
-        } else if (arg == "--threads") {
-            cfg.threads = std::max<std::size_t>(1, std::stoul(next()));
-        } else if (arg == "--batch-functions") {
-            cfg.batch_functions = std::clamp<std::size_t>(
-                std::stoul(next()), 1, 1000000);
-        } else if (arg == "--batch-intervals") {
-            cfg.batch_intervals =
-                std::max<std::size_t>(1, std::stoul(next()));
-        } else if (arg == "--json") {
-            cfg.json_path = next();
-        } else if (arg == "--baseline") {
-            cfg.baseline_path = next();
-        } else if (arg == "--smoke") {
-            cfg.smoke = true;
-        } else {
-            std::cerr << "usage: bench_fip [--functions N]"
-                      << " [--intervals N] [--window N] [--threads N]"
-                      << " [--batch-functions N] [--batch-intervals N]"
-                      << " [--json PATH] [--baseline PATH] [--smoke]\n";
-            return arg == "--help" ? 0 : 2;
-        }
-    }
+    bench::parseFlags(
+        argc, argv,
+        {bench::numberFlag("--functions", "N",
+                           "grid functions (default 64)", cfg.functions,
+                           1),
+         bench::numberFlag("--intervals", "N",
+                           "grid intervals (default 400)", cfg.intervals,
+                           1),
+         bench::numberFlag("--window", "N",
+                           "FIP window (default 120, non-pow2)",
+                           cfg.window, 1),
+         bench::numberFlag("--threads", "N",
+                           "shard functions across N threads (default 1)",
+                           cfg.threads, 1),
+         bench::numberFlag("--batch-functions", "N",
+                           "batch-section fleet size (default 10000, "
+                           "capped at 1M)",
+                           cfg.batch_functions, 1),
+         bench::numberFlag("--batch-intervals", "N",
+                           "timed rounds per batch mode (default 3)",
+                           cfg.batch_intervals, 1),
+         bench::textFlag("--json", "PATH",
+                         "output path (default BENCH_fip.json)",
+                         cfg.json_path),
+         bench::textFlag("--baseline", "PATH",
+                         "gate the batch speedup against a committed "
+                         "BENCH_fip.json",
+                         cfg.baseline_path),
+         bench::switchFlag("--smoke", "tiny grid + correctness gates",
+                           cfg.smoke)});
+    cfg.batch_functions =
+        std::min<std::size_t>(cfg.batch_functions, 1000000);
     if (cfg.smoke) {
         cfg.functions = std::min<std::size_t>(cfg.functions, 4);
         cfg.intervals = std::min<std::size_t>(cfg.intervals, 60);
@@ -1228,28 +1199,18 @@ main(int argc, char **argv)
     }
 
     if (!cfg.baseline_path.empty()) {
-        // Same reasoning as bench_sim's gate: the ratio of two rates
-        // measured back to back in one process cancels machine speed,
-        // and contention can only depress a measured speedup, so on a
-        // miss we re-measure and keep the best round -- noise is shed
-        // while a genuine regression fails every round.
-        const double floor = baseline.speedup_fast_vs_scalar * 0.98;
-        double best = batch.scalar_ns / batch.fast_ns;
-        for (int round = 2; best < floor && round <= 5; ++round) {
-            const BatchResult again = runBatch(cfg);
-            const double speedup = again.scalar_ns / again.fast_ns;
-            std::printf("gate re-measure round %d: %.3f\n", round,
-                        speedup);
-            best = std::max(best, speedup);
-        }
-        std::printf("baseline batch speedup %.3f -> floor %.3f (-2%%),"
-                    " measured %.3f\n",
-                    baseline.speedup_fast_vs_scalar, floor, best);
-        if (best < floor) {
-            std::fprintf(stderr,
-                         "FAIL: batch fast-vs-scalar speedup regressed"
-                         " more than 2%% below the committed"
-                         " baseline\n");
+        // The ratio of two rates measured back to back in one process
+        // cancels machine speed; a miss is re-measured (gateBestOf).
+        const iceb::harness::GateResult gate = iceb::harness::gateBestOf(
+            "batch speedup", batch.scalar_ns / batch.fast_ns,
+            [&] {
+                const BatchResult again = runBatch(cfg);
+                return again.scalar_ns / again.fast_ns;
+            },
+            baseline.speedup_fast_vs_scalar, 0.02);
+        std::printf("%s\n", gate.message.c_str());
+        if (!gate.ok) {
+            std::fprintf(stderr, "FAIL: %s\n", gate.message.c_str());
             return 1;
         }
     }

@@ -40,13 +40,21 @@ namespace bench
 namespace
 {
 
+/** FNV-1a's standard 64-bit offset basis. */
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+
+std::uint64_t
+fnv1aByte(std::uint64_t hash, std::uint64_t byte)
+{
+    return (hash ^ byte) * 0x100000001b3ull;
+}
+
+/** The eight bytes of @p value, least significant first. */
 std::uint64_t
 fnv1a(std::uint64_t hash, std::uint64_t value)
 {
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (8 * byte)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
+    for (int byte = 0; byte < 8; ++byte)
+        hash = fnv1aByte(hash, (value >> (8 * byte)) & 0xff);
     return hash;
 }
 
@@ -69,7 +77,7 @@ allocationCount()
 std::uint64_t
 hashMetrics(const iceb::sim::SimulationMetrics &m)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::uint64_t hash = kFnvOffsetBasis;
     hash = fnv1a(hash, m.invocations);
     hash = fnv1a(hash, m.cold_starts);
     hash = fnv1a(hash, m.warm_starts);
@@ -106,6 +114,15 @@ hashMetrics(const iceb::sim::SimulationMetrics &m)
         hash = fnv1aDouble(hash, m.keep_alive[t].wasteful_cost);
         hash = fnv1aDouble(hash, m.keep_alive[t].wasted_mb_ms);
     }
+    return hash;
+}
+
+std::uint64_t
+hashText(std::string_view text, std::uint64_t basis)
+{
+    std::uint64_t hash = basis;
+    for (const char c : text)
+        hash = fnv1aByte(hash, static_cast<unsigned char>(c));
     return hash;
 }
 

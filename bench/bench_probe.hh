@@ -2,8 +2,8 @@
  * @file
  * Measurement helpers shared by the self-gating benches (bench_fip,
  * bench_sim, bench_scale): a process-wide allocation counter, the
- * SimulationMetrics digest their byte-identity gates compare, and the
- * baseline-file reader.
+ * best-of-N wall timer, the FNV-1a digests their byte-identity gates
+ * compare, and the baseline-file reader.
  *
  * bench_probe.cc replaces the global operator new/delete to count
  * allocations, so it is linked only into those three binaries, never
@@ -13,8 +13,12 @@
 #ifndef ICEB_BENCH_BENCH_PROBE_HH
 #define ICEB_BENCH_BENCH_PROBE_HH
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "sim/metrics.hh"
 
@@ -27,8 +31,39 @@ namespace bench
  */
 long long allocationCount();
 
+/** Wall milliseconds elapsed since @p start. */
+inline double
+elapsedMs(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/**
+ * Best-of-N wall time of @p run_fn in milliseconds: contention on a
+ * shared machine only adds time, so the minimum is the observation
+ * closest to the true cost, and a ratio of two minima (what the
+ * baseline gates compare) is far more stable than one of medians.
+ */
+template <typename RunFn>
+double
+bestOfMs(RunFn &&run_fn, std::size_t repeats)
+{
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t r = 0; r < repeats; ++r) {
+        const auto start = std::chrono::steady_clock::now();
+        run_fn();
+        best = std::min(best, elapsedMs(start));
+    }
+    return best;
+}
+
 /** FNV-1a digest of every SimulationMetrics result field. */
 std::uint64_t hashMetrics(const iceb::sim::SimulationMetrics &m);
+
+/** FNV-1a digest of the bytes of @p text, starting from @p basis. */
+std::uint64_t hashText(std::string_view text, std::uint64_t basis);
 
 /** A digest as "0x" plus 16 lower-case hex digits. */
 std::string digestHex(std::uint64_t digest);

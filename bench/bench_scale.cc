@@ -24,7 +24,8 @@
  * In --smoke mode the chunk size is forced tiny so the external
  * spill/merge path is exercised and must still agree.
  *
- * Flags:
+ * Flags (parsed by bench_util's parseFlags, like every bench: a bad
+ * or non-positive value exits 1 with a usage message naming the flag):
  *   --functions N / --intervals N   workload size (default 100000 x
  *                                   1440: one synthetic Azure day)
  *   --repeats R                     timed runs per engine (default 3)
@@ -38,8 +39,9 @@
  *                                   overhead] -- the histograms-on/off
  *                                   events/s ratio of the streamed
  *                                   core must stay within 2% of 1.0
- *                                   (best of up to 5 rounds, measured
- *                                   in the streamed phase);
+ *                                   (harness::gateBestOf: best of up
+ *                                   to 5 rounds, measured in the
+ *                                   streamed phase);
  *                                   [metrics digest]
  *                                   -- the fixed-geometry streamed
  *                                   sharded digest must match exactly
@@ -57,14 +59,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_probe.hh"
+#include "bench/bench_util.hh"
 #include "core/icebreaker.hh"
 #include "harness/baseline_gate.hh"
 #include "obs/recorder.hh"
@@ -165,33 +166,6 @@ scaleCluster(std::size_t num_functions)
     return cluster;
 }
 
-// --------------------------------------------------------------- timing
-
-double
-elapsedMs(Clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
-        .count();
-}
-
-/**
- * Best-of-N wall time of @p run_fn in milliseconds: contention on a
- * shared machine only adds time, so the minimum is the observation
- * closest to the true cost and ratios of minima are stable.
- */
-template <typename RunFn>
-double
-bestOfMs(RunFn &&run_fn, std::size_t repeats)
-{
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < repeats; ++r) {
-        const auto start = Clock::now();
-        run_fn();
-        best = std::min(best, elapsedMs(start));
-    }
-    return best;
-}
-
 // ------------------------------------------------------------ phase rows
 
 struct IngestRow
@@ -258,7 +232,7 @@ runCsvPhase(const BenchConfig &cfg)
     std::size_t rows = 0;
     while (stream.next(fn_row))
         ++rows;
-    row.wall_ms = elapsedMs(start);
+    row.wall_ms = bench::elapsedMs(start);
 
     if (rows != row.rows) {
         std::fprintf(stderr,
@@ -272,6 +246,26 @@ runCsvPhase(const BenchConfig &cfg)
         static_cast<double>(row.minute_cells) / (row.wall_ms / 1000.0);
     return row;
 }
+
+/** The same workload both ways at once, for re-measure rounds. */
+struct BothPipelines
+{
+    trace::SyntheticRowStream rows;
+    sim::StreamingWorkloadSource source;
+    std::vector<workload::FunctionProfile> stream_profiles;
+    trace::Trace tr;
+    std::vector<workload::FunctionProfile> trace_profiles;
+
+    BothPipelines(const trace::SyntheticConfig &config,
+                  const sim::StreamingSourceOptions &options,
+                  const workload::ProfileMatcher &matcher)
+        : rows(config), source(rows, options),
+          stream_profiles(sim::matchStreamedProfiles(source, matcher)),
+          tr(trace::SyntheticTraceGenerator(config).generate()),
+          trace_profiles(matcher.profilesFor(tr))
+    {
+    }
+};
 
 sim::SimCapacityHints
 hintsFrom(const sim::SimulationMetrics &m)
@@ -353,65 +347,34 @@ writeJson(const BenchConfig &cfg, std::uint64_t arrivals,
     out << "}\n";
 }
 
-[[noreturn]] void
-usage(int status)
-{
-    (status == 0 ? std::cout : std::cerr)
-        << "usage: bench_scale [--functions N] [--intervals N]\n"
-           "                   [--repeats R] [--shards N]\n"
-           "                   [--json PATH] [--smoke]\n"
-           "                   [--baseline PATH]\n";
-    std::exit(status);
-}
-
 BenchConfig
 parseArgs(int argc, char **argv)
 {
     BenchConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "bench_scale: missing value for " << arg
-                          << "\n";
-                usage(1);
-            }
-            return argv[++i];
-        };
-        auto count = [&]() -> std::size_t {
-            const std::string text = next();
-            char *end = nullptr;
-            const unsigned long long value =
-                std::strtoull(text.c_str(), &end, 0);
-            if (end == text.c_str() || *end != '\0' || value == 0) {
-                std::cerr << "bench_scale: bad value '" << text
-                          << "' for " << arg
-                          << " (want a positive integer)\n";
-                usage(1);
-            }
-            return static_cast<std::size_t>(value);
-        };
-        if (arg == "--functions") {
-            cfg.num_functions = count();
-        } else if (arg == "--intervals") {
-            cfg.num_intervals = count();
-        } else if (arg == "--repeats") {
-            cfg.repeats = count();
-        } else if (arg == "--shards") {
-            cfg.shards = count();
-        } else if (arg == "--json") {
-            cfg.json_path = next();
-        } else if (arg == "--baseline") {
-            cfg.baseline_path = next();
-        } else if (arg == "--smoke") {
-            cfg.smoke = true;
-        } else {
-            if (arg != "--help")
-                std::cerr << "bench_scale: unknown option " << arg
-                          << "\n";
-            usage(arg == "--help" ? 0 : 1);
-        }
-    }
+    bench::parseFlags(
+        argc, argv,
+        {bench::numberFlag("--functions", "N",
+                           "workload functions (default 100000)",
+                           cfg.num_functions, 1),
+         bench::numberFlag("--intervals", "N",
+                           "workload intervals (default 1440)",
+                           cfg.num_intervals, 1),
+         bench::numberFlag("--repeats", "R",
+                           "timed runs per engine (default 3)",
+                           cfg.repeats, 1),
+         bench::numberFlag("--shards", "N",
+                           "workers for the sharded rows (default 4)",
+                           cfg.shards, 1),
+         bench::textFlag("--json", "PATH",
+                         "output path (default BENCH_scale.json)",
+                         cfg.json_path),
+         bench::switchFlag("--smoke",
+                           "small workload + forced spill; correctness "
+                           "gates only",
+                           cfg.smoke),
+         bench::textFlag("--baseline", "PATH",
+                         "gate against a committed BENCH_scale.json",
+                         cfg.baseline_path)});
     if (cfg.smoke) {
         cfg.num_functions = 768;
         cfg.num_intervals = 96;
@@ -469,11 +432,12 @@ main(int argc, char **argv)
     double streamed_best_ms = 0.0;
     sim::SimCapacityHints hints;
     TelemetryRow telemetry;
+    harness::GateResult telemetry_gate;
     {
         const auto ingest_start = Clock::now();
         trace::SyntheticRowStream rows(workload_config);
         sim::StreamingWorkloadSource source(rows, stream_options);
-        stream_ingest.wall_ms = elapsedMs(ingest_start);
+        stream_ingest.wall_ms = bench::elapsedMs(ingest_start);
         stream_ingest.rows_per_sec =
             static_cast<double>(cfg.num_functions) /
             (stream_ingest.wall_ms / 1000.0);
@@ -524,7 +488,7 @@ main(int argc, char **argv)
                     hinted_allocs);
 
         // Timed streamed runs (hinted, best-of-N).
-        streamed_best_ms = bestOfMs(
+        streamed_best_ms = bench::bestOfMs(
             [&] {
                 sim::SimulatorOptions options;
                 options.hints = hints;
@@ -542,8 +506,9 @@ main(int argc, char **argv)
 
         // Telemetry overhead row: the same hinted streamed run with
         // latency histograms attached, best-of-N on both sides so the
-        // ratio is a ratio of minima. Re-measure-on-miss happens here
-        // (not in the gate block) while the source is still alive.
+        // ratio is a ratio of minima. The gate's re-measure rounds run
+        // here (not in the gate block) while the source is still
+        // alive; the JSON row keeps the best round.
         {
             obs::ObsConfig obs_config;
             obs_config.histograms = true;
@@ -555,14 +520,14 @@ main(int argc, char **argv)
             hist_options.recorder = &recorder;
             const auto measure = [&] {
                 TelemetryRow row;
-                const double off_ms = bestOfMs(
+                const double off_ms = bench::bestOfMs(
                     [&] {
                         (void)sim::runSimulation(source, profiles,
                                                  cluster, policy,
                                                  plain_options);
                     },
                     cfg.repeats);
-                const double on_ms = bestOfMs(
+                const double on_ms = bench::bestOfMs(
                     [&] {
                         (void)sim::runSimulation(source, profiles,
                                                  cluster, policy,
@@ -578,15 +543,15 @@ main(int argc, char **argv)
                 return row;
             };
             telemetry = measure();
-            for (int round = 2;
-                 telemetry.overhead_ratio < 0.98 && round <= 5;
-                 ++round) {
-                const TelemetryRow again = measure();
-                std::printf("telemetry re-measure round %d: %.5f\n",
-                            round, again.overhead_ratio);
-                if (again.overhead_ratio > telemetry.overhead_ratio)
-                    telemetry = again;
-            }
+            telemetry_gate = harness::gateBestOf(
+                "telemetry overhead", telemetry.overhead_ratio,
+                [&] {
+                    const TelemetryRow again = measure();
+                    if (again.overhead_ratio > telemetry.overhead_ratio)
+                        telemetry = again;
+                    return again.overhead_ratio;
+                },
+                1.0, 0.02);
         }
         std::printf("telemetry: %8.0f events/sec histograms off, "
                     "%8.0f events/sec on (ratio %.4f)\n",
@@ -624,7 +589,7 @@ main(int argc, char **argv)
             trace::SyntheticTraceGenerator(workload_config).generate();
         const std::vector<workload::FunctionProfile> profiles =
             matcher.profilesFor(tr);
-        materialize.wall_ms = elapsedMs(build_start);
+        materialize.wall_ms = bench::elapsedMs(build_start);
         materialize.rows_per_sec =
             static_cast<double>(cfg.num_functions) /
             (materialize.wall_ms / 1000.0);
@@ -635,7 +600,7 @@ main(int argc, char **argv)
                 tr, profiles, cluster, policy, {});
             digest_materialized = hashMetrics(calib);
         }
-        materialized_best_ms = bestOfMs(
+        materialized_best_ms = bench::bestOfMs(
             [&] {
                 sim::SimulatorOptions options;
                 options.hints = hints;
@@ -753,11 +718,8 @@ main(int argc, char **argv)
 
         // Telemetry gates against 1.0, not the baseline file: the
         // histogram pillar must stay within 2% of free on the
-        // streamed core (re-measure rounds already ran in the
-        // streamed phase). Geometry-independent, so smoke runs gate
-        // it too.
-        const harness::GateResult telemetry_gate = harness::gateRatio(
-            "telemetry overhead", telemetry.overhead_ratio, 1.0, 0.02);
+        // streamed core (measured in the streamed phase).
+        // Geometry-independent, so smoke runs gate it too.
         std::printf("%s\n", telemetry_gate.message.c_str());
         if (!telemetry_gate.ok) {
             std::fprintf(stderr, "FAIL: %s\n",
@@ -768,8 +730,7 @@ main(int argc, char **argv)
         // Streamed vs materialized events/sec in the same process:
         // machine speed cancels, leaving what the streaming window
         // path costs relative to serving slices of a prebuilt array.
-        // Contention only ever lowers the measured ratio, so on a
-        // miss re-measure and keep the best round. The ratio is NOT
+        // A miss is re-measured (gateBestOf). The ratio is NOT
         // geometry-independent (a smoke-sized workload fits in cache
         // on both paths, shrinking the streamed advantage), so it
         // only gates runs at the baseline's own scale.
@@ -787,49 +748,35 @@ main(int argc, char **argv)
                          cfg.baseline_path.c_str());
             return 1;
         }
-        double best =
-            streamed.events_per_sec / materialized.events_per_sec;
-        std::fprintf(stderr,
-                     "gate: stream rate ratio %.4f (baseline %.4f)\n",
-                     best, *base);
-        const double floor = *base * 0.90;
-        if (best < floor) {
-            // Re-measure rounds need both workloads alive again;
-            // rebuild them once and alternate timed runs.
-            trace::SyntheticRowStream rows(workload_config);
-            sim::StreamingWorkloadSource source(rows, stream_options);
-            const std::vector<workload::FunctionProfile> sprofiles =
-                sim::matchStreamedProfiles(source, matcher);
-            const trace::Trace tr =
-                trace::SyntheticTraceGenerator(workload_config)
-                    .generate();
-            const std::vector<workload::FunctionProfile> mprofiles =
-                matcher.profilesFor(tr);
-            policies::OpenWhiskPolicy policy;
-            sim::SimulatorOptions options;
-            options.hints = hints;
-            for (int round = 2; best < floor && round <= 5; ++round) {
-                const double s_ms = bestOfMs(
+        // Re-measure rounds need both workloads alive again; the
+        // first one rebuilds them, and every round times both.
+        std::optional<BothPipelines> both;
+        policies::OpenWhiskPolicy policy;
+        sim::SimulatorOptions options;
+        options.hints = hints;
+        const harness::GateResult ratio_gate = harness::gateBestOf(
+            "stream rate ratio",
+            streamed.events_per_sec / materialized.events_per_sec,
+            [&] {
+                if (!both)
+                    both.emplace(workload_config, stream_options, matcher);
+                const double s_ms = bench::bestOfMs(
                     [&] {
-                        (void)sim::runSimulation(source, sprofiles,
-                                                 cluster, policy,
-                                                 options);
+                        (void)sim::runSimulation(both->source,
+                                                 both->stream_profiles,
+                                                 cluster, policy, options);
                     },
                     cfg.repeats);
-                const double m_ms = bestOfMs(
+                const double m_ms = bench::bestOfMs(
                     [&] {
-                        (void)sim::runSimulation(tr, mprofiles, cluster,
-                                                 policy, options);
+                        (void)sim::runSimulation(both->tr,
+                                                 both->trace_profiles,
+                                                 cluster, policy, options);
                     },
                     cfg.repeats);
-                const double again = m_ms / s_ms;
-                std::printf("gate re-measure round %d: %.4f\n", round,
-                            again);
-                best = std::max(best, again);
-            }
-        }
-        const harness::GateResult ratio_gate = harness::gateRatio(
-            "stream rate ratio", best, *base, 0.10);
+                return m_ms / s_ms;
+            },
+            *base, 0.10);
         std::printf("%s\n", ratio_gate.message.c_str());
         if (!ratio_gate.ok) {
             std::fprintf(stderr, "FAIL: %s\n",

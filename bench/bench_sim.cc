@@ -15,7 +15,8 @@
  * whose EventLoopStats peaks become SimCapacityHints, then a hinted
  * run whose Simulator::run() must not allocate at all.
  *
- * Flags:
+ * Flags (parsed by bench_util's parseFlags, like every bench: a bad
+ * or non-positive value exits 1 with a usage message naming the flag):
  *   --functions N / --intervals N   workload size (default 64 x 120)
  *   --repeats R                     timed runs per core (default 5)
  *   --threads N                     shard timed runs across N threads
@@ -35,10 +36,9 @@
  *                                   live/legacy speedup must stay
  *                                   within 2% of its
  *                                   speedup_vs_legacy (best of up to
- *                                   5 measurement rounds; contention
- *                                   only ever lowers the ratio, so
- *                                   retrying sheds noise without
- *                                   masking regressions). Because the
+ *                                   5 rounds, harness::gateBestOf;
+ *                                   timings are best-of-N, the shared
+ *                                   bench::bestOfMs). Because the
  *                                   legacy core is frozen BEFORE the
  *                                   streaming observation boundary,
  *                                   this ratio is a machine-
@@ -47,10 +47,10 @@
  *                                   [telemetry overhead] -- the
  *                                   histograms-on/off events/s ratio
  *                                   must stay within 2% of 1.0 (same
- *                                   best-of-rounds retry discipline;
- *                                   the bound is a property of the
- *                                   build, so it gates against 1.0
- *                                   rather than the baseline file).
+ *                                   gateBestOf rounds; the bound is a
+ *                                   property of the build, so it
+ *                                   gates against 1.0 rather than the
+ *                                   baseline file).
  *                                   [metrics digest] -- the sharded
  *                                   engine's metrics digest (computed
  *                                   on a FIXED workload geometry,
@@ -68,15 +68,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <iostream>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_probe.hh"
+#include "bench/bench_util.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "common/worker_pool.hh"
@@ -290,25 +288,14 @@ timeCore(RunFn &&run_fn, std::size_t repeats, std::size_t threads,
     const auto start = Clock::now();
     double best_run_ms = 0.0;
     if (threads <= 1) {
-        best_run_ms = std::numeric_limits<double>::infinity();
-        for (std::size_t r = 0; r < repeats; ++r) {
-            const auto run_start = Clock::now();
-            run_fn();
-            best_run_ms =
-                std::min(best_run_ms,
-                         std::chrono::duration<double, std::milli>(
-                             Clock::now() - run_start)
-                             .count());
-        }
+        best_run_ms = bench::bestOfMs(run_fn, repeats);
     } else {
         WorkerPool(threads).run(repeats,
                                 [&](std::size_t, std::size_t) { run_fn(); });
     }
-    const auto end = Clock::now();
 
     CoreTiming timing;
-    timing.wall_ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
+    timing.wall_ms = bench::elapsedMs(start);
     const double rep_ms = threads <= 1
         ? best_run_ms
         : timing.wall_ms / static_cast<double>(repeats);
@@ -405,64 +392,38 @@ writeJson(const BenchConfig &cfg, std::uint64_t events,
     out << "}\n";
 }
 
-[[noreturn]] void
-usage(int status)
-{
-    (status == 0 ? std::cout : std::cerr)
-        << "usage: bench_sim [--functions N] [--intervals N]\n"
-           "                 [--repeats R] [--threads N] [--shards N]\n"
-           "                 [--json PATH] [--smoke]\n"
-           "                 [--baseline PATH]\n";
-    std::exit(status);
-}
-
 BenchConfig
 parseArgs(int argc, char **argv)
 {
     BenchConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "bench_sim: missing value for " << arg << "\n";
-                usage(1);
-            }
-            return argv[++i];
-        };
-        auto count = [&]() -> std::size_t {
-            const std::string text = next();
-            char *end = nullptr;
-            const unsigned long long value =
-                std::strtoull(text.c_str(), &end, 0);
-            if (end == text.c_str() || *end != '\0' || value == 0) {
-                std::cerr << "bench_sim: bad value '" << text << "' for "
-                          << arg << " (want a positive integer)\n";
-                usage(1);
-            }
-            return static_cast<std::size_t>(value);
-        };
-        if (arg == "--functions") {
-            cfg.num_functions = count();
-        } else if (arg == "--intervals") {
-            cfg.num_intervals = count();
-        } else if (arg == "--repeats") {
-            cfg.repeats = count();
-        } else if (arg == "--threads") {
-            cfg.threads = count();
-        } else if (arg == "--shards") {
-            cfg.shards = count();
-        } else if (arg == "--json") {
-            cfg.json_path = next();
-        } else if (arg == "--baseline") {
-            cfg.baseline_path = next();
-        } else if (arg == "--smoke") {
-            cfg.smoke = true;
-        } else {
-            if (arg != "--help")
-                std::cerr << "bench_sim: unknown option " << arg << "\n";
-            usage(arg == "--help" ? 0 : 1);
-        }
-    }
+    bench::parseFlags(
+        argc, argv,
+        {bench::numberFlag("--functions", "N",
+                           "workload functions (default 64)",
+                           cfg.num_functions, 1),
+         bench::numberFlag("--intervals", "N",
+                           "workload intervals (default 120)",
+                           cfg.num_intervals, 1),
+         bench::numberFlag("--repeats", "R",
+                           "timed runs per core (default 5)", cfg.repeats,
+                           1),
+         bench::numberFlag("--threads", "N",
+                           "shard timed runs across N threads "
+                           "(default 1)",
+                           cfg.threads, 1),
+         bench::numberFlag("--shards", "N",
+                           "workers of the sharded row's multi run "
+                           "(default 4)",
+                           cfg.shards, 1),
+         bench::textFlag("--json", "PATH",
+                         "output path (default BENCH_sim.json)",
+                         cfg.json_path),
+         bench::switchFlag("--smoke",
+                           "tiny workload + correctness gates",
+                           cfg.smoke),
+         bench::textFlag("--baseline", "PATH",
+                         "also gate on a committed BENCH_sim.json",
+                         cfg.baseline_path)});
     if (cfg.smoke) {
         cfg.num_functions = 16;
         cfg.num_intervals = 30;
@@ -470,8 +431,6 @@ parseArgs(int argc, char **argv)
         // noisy CI runner: smoke runs are ~50 ms, so this stays cheap.
         cfg.repeats = 7;
     }
-    if (cfg.threads == 0)
-        cfg.threads = 1;
     return cfg;
 }
 
@@ -553,11 +512,20 @@ main(int argc, char **argv)
     // One untimed warmup of each core, then the timed batches.
     (void)runLegacy(w);
     (void)runLive(w, hints);
-    const CoreTiming legacy_timing = timeCore(
-        [&] { (void)runLegacy(w); }, cfg.repeats, cfg.threads, events);
-    const CoreTiming live_timing = timeCore(
-        [&] { (void)runLive(w, hints); }, cfg.repeats, cfg.threads,
-        events);
+    const auto timeLegacy = [&] {
+        return timeCore([&] { (void)runLegacy(w); }, cfg.repeats,
+                        cfg.threads, events);
+    };
+    const auto timeLive = [&] {
+        return timeCore([&] { (void)runLive(w, hints); }, cfg.repeats,
+                        cfg.threads, events);
+    };
+    const auto measureSpeedup = [&] {
+        const CoreTiming legacy = timeLegacy();
+        return timeLive().events_per_sec / legacy.events_per_sec;
+    };
+    const CoreTiming legacy_timing = timeLegacy();
+    const CoreTiming live_timing = timeLive();
     const double speedup =
         live_timing.events_per_sec / legacy_timing.events_per_sec;
 
@@ -680,12 +648,7 @@ main(int argc, char **argv)
         // Ratio-of-rates on the same machine in the same process:
         // machine speed cancels out, leaving only what the live core
         // gained or lost relative to the frozen control since the
-        // baseline was committed. Contention can only make a measured
-        // speedup look WORSE (it slows the live batch or speeds the
-        // comparison by stalling nothing), never better, so on a miss
-        // the gate re-measures and keeps the best round: noise is
-        // shed, while a genuine regression depresses every round and
-        // still fails.
+        // baseline was committed. A miss is re-measured (gateBestOf).
         const std::optional<double> base = harness::findJsonNumber(
             baseline, "speedup_vs_legacy");
         if (!base) {
@@ -694,22 +657,8 @@ main(int argc, char **argv)
                          cfg.baseline_path.c_str());
             return 1;
         }
-        const double floor = *base * 0.98;
-        double best = speedup;
-        for (int round = 2; best < floor && round <= 5; ++round) {
-            const CoreTiming lt = timeCore([&] { (void)runLegacy(w); },
-                                           cfg.repeats, cfg.threads,
-                                           events);
-            const CoreTiming vt =
-                timeCore([&] { (void)runLive(w, hints); }, cfg.repeats,
-                         cfg.threads, events);
-            const double again = vt.events_per_sec / lt.events_per_sec;
-            std::printf("gate re-measure round %d: %.5f\n", round,
-                        again);
-            best = std::max(best, again);
-        }
-        const harness::GateResult ratio_gate = harness::gateRatio(
-            "speedup ratio", best, *base, 0.02);
+        const harness::GateResult ratio_gate = harness::gateBestOf(
+            "speedup ratio", speedup, measureSpeedup, *base, 0.02);
         std::printf("%s\n", ratio_gate.message.c_str());
         if (!ratio_gate.ok) {
             std::fprintf(stderr, "FAIL: %s\n",
@@ -719,21 +668,10 @@ main(int argc, char **argv)
 
         // Telemetry gates against 1.0, not the baseline file: the
         // histogram pillar must stay within 2% of free, which is a
-        // property of the build, not of this machine. Same
-        // re-measure-on-miss discipline as the speedup gate.
-        TelemetryRow best_telemetry = telemetry;
-        for (int round = 2;
-             best_telemetry.overhead_ratio < 0.98 && round <= 5;
-             ++round) {
-            const TelemetryRow again = measureTelemetry();
-            std::printf("telemetry re-measure round %d: %.5f\n", round,
-                        again.overhead_ratio);
-            if (again.overhead_ratio > best_telemetry.overhead_ratio)
-                best_telemetry = again;
-        }
-        const harness::GateResult telemetry_gate = harness::gateRatio(
-            "telemetry overhead", best_telemetry.overhead_ratio, 1.0,
-            0.02);
+        // property of the build, not of this machine.
+        const harness::GateResult telemetry_gate = harness::gateBestOf(
+            "telemetry overhead", telemetry.overhead_ratio,
+            [&] { return measureTelemetry().overhead_ratio; }, 1.0, 0.02);
         std::printf("%s\n", telemetry_gate.message.c_str());
         if (!telemetry_gate.ok) {
             std::fprintf(stderr, "FAIL: %s\n",

@@ -1,5 +1,8 @@
 #include "bench/bench_util.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <string_view>
 
@@ -36,52 +39,6 @@ smokeWorkload()
 namespace
 {
 
-[[noreturn]] void
-usage(const char *prog, int status)
-{
-    std::cout
-        << "usage: " << prog << " [options]\n"
-        << "  --threads N   worker threads (0 = hardware concurrency; "
-           "default 0)\n"
-        << "  --shards N    intra-run shard workers (0 = classic "
-           "engine; default 0).\n"
-        << "                Sharded output is identical for every "
-           "N >= 1 but differs\n"
-        << "                from the classic engine (partitioned "
-           "memory model)\n"
-        << "  --max-cells M ceiling for the sharded engine's auto "
-           "cell count\n"
-        << "                (0 = built-in default of 16; results "
-           "depend on the\n"
-        << "                cell partition, never on --shards)\n"
-        << "  --seeds S     base seed for derived per-run RNG streams\n"
-        << "  --repeats R   seed replicates per experiment cell "
-           "(default 1)\n"
-        << "  --smoke       shrunken workload for CI smoke runs\n"
-        << "  --trace-out F     write Chrome trace_event JSON "
-           "(Perfetto-viewable)\n"
-        << "  --probe-out F     write interval/forecast probes as CSV\n"
-        << "  --hist-out F      write latency histograms as tidy CSV\n"
-        << "  --manifest-out F  write one JSON manifest line per run\n"
-        << "  --help        this message\n"
-        << "\nOutput (stdout and observability files) is "
-           "byte-identical for every\n--threads value.\n";
-    std::exit(status);
-}
-
-std::uint64_t
-parseUint(const char *prog, std::string_view flag, const char *text)
-{
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
-        std::cerr << prog << ": bad value '" << text << "' for " << flag
-                  << "\n";
-        usage(prog, 1);
-    }
-    return static_cast<std::uint64_t>(value);
-}
-
 /** "mean +-stddev" with pct formatting; bare mean for single runs. */
 std::string
 pctWithSpread(const sim::ValueStats &stats)
@@ -102,62 +59,153 @@ numWithSpread(const sim::ValueStats &stats, int precision)
     return cell;
 }
 
+/** A bench's command line as parseFlags sees it. */
+struct CommandLine
+{
+    std::string prog; //!< argv[0] without its directory
+    const std::vector<Flag> &flags;
+    const std::string &note;
+
+    /** Usage built from the flags, then the note; exits @p status. */
+    [[noreturn]] void usage(std::ostream &out, int status) const
+    {
+        std::size_t width = 0;
+        for (const Flag &flag : flags)
+            width = std::max(width, flag.name.size() + flag.meta.size() + 5);
+        const auto lead = [width](std::string text) {
+            text.resize(std::max(width, text.size() + 2), ' ');
+            return text;
+        };
+        out << "usage: " << prog << " [options]\n";
+        for (const Flag &flag : flags) {
+            out << lead("  " + flag.name +
+                        (flag.meta.empty() ? "" : " " + flag.meta));
+            for (const char c : flag.help)
+                out << c << (c == '\n' ? std::string(width, ' ') : "");
+            out << "\n";
+        }
+        out << lead("  --help") << "this message\n";
+        if (!note.empty())
+            out << "\n" << note << "\n";
+        std::exit(status);
+    }
+
+    /** "<prog>: <message>", then the usage on stderr; exits 1. */
+    [[noreturn]] void fail(const std::string &message) const
+    {
+        std::cerr << prog << ": " << message << "\n";
+        usage(std::cerr, 1);
+    }
+};
+
 } // namespace
+
+Flag
+switchFlag(std::string name, std::string help, bool &target)
+{
+    return Flag{std::move(name), "", std::move(help), false, 0,
+                [&target](const char *, std::uint64_t) { target = true; }};
+}
+
+Flag
+textFlag(std::string name, std::string meta, std::string help,
+         std::string &target)
+{
+    return Flag{std::move(name), std::move(meta), std::move(help), false,
+                0, [&target](const char *text, std::uint64_t) {
+                    target = text;
+                }};
+}
+
+void
+parseFlags(int argc, char **argv, const std::vector<Flag> &flags,
+           const std::string &note)
+{
+    const std::string_view path = argc > 0 ? argv[0] : "bench";
+    const CommandLine cli{
+        std::string(path.substr(path.find_last_of('/') + 1)), flags, note};
+
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--help" || arg == "-h")
+            cli.usage(std::cout, 0);
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&](const Flag &f) { return f.name == arg; });
+        if (flag == flags.end())
+            cli.fail("unknown option '" + std::string(arg) + "'");
+        if (flag->meta.empty()) {
+            flag->set("", 0);
+            continue;
+        }
+        if (i + 1 >= argc)
+            cli.fail(flag->name + " needs a value");
+        const char *text = argv[++i];
+        if (!flag->numeric) {
+            flag->set(text, 0);
+            continue;
+        }
+        // strtoull alone would accept a sign ("-1" wraps to 2^64-1),
+        // leading blanks and out-of-range values.
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long value = std::strtoull(text, &end, 0);
+        if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+            *end != '\0' || errno == ERANGE) {
+            cli.fail("bad value '" + std::string(text) + "' for " +
+                     flag->name + " (want an unsigned integer)");
+        }
+        if (value < flag->min)
+            cli.fail(flag->name + " must be >= " +
+                     std::to_string(flag->min));
+        flag->set(text, value);
+    }
+}
 
 BenchOptions
 parseBenchOptions(int argc, char **argv)
 {
     BenchOptions options;
-    const char *prog = argc > 0 ? argv[0] : "bench";
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const auto value = [&](std::string_view flag) {
-            if (i + 1 >= argc) {
-                std::cerr << prog << ": " << flag
-                          << " needs a value\n";
-                usage(prog, 1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(prog, 0);
-        } else if (arg == "--threads") {
-            options.threads =
-                static_cast<std::size_t>(parseUint(prog, arg,
-                                                   value(arg)));
-        } else if (arg == "--shards") {
-            options.shards =
-                static_cast<std::size_t>(parseUint(prog, arg,
-                                                   value(arg)));
-        } else if (arg == "--max-cells") {
-            options.max_cells =
-                static_cast<std::size_t>(parseUint(prog, arg,
-                                                   value(arg)));
-        } else if (arg == "--repeats") {
-            options.repeats =
-                static_cast<std::size_t>(parseUint(prog, arg,
-                                                   value(arg)));
-            if (options.repeats == 0) {
-                std::cerr << prog << ": --repeats must be >= 1\n";
-                usage(prog, 1);
-            }
-        } else if (arg == "--seeds" || arg == "--seed") {
-            options.base_seed = parseUint(prog, arg, value(arg));
-        } else if (arg == "--smoke") {
-            options.smoke = true;
-        } else if (arg == "--trace-out") {
-            options.observation.trace_path = value(arg);
-        } else if (arg == "--probe-out") {
-            options.observation.probe_path = value(arg);
-        } else if (arg == "--hist-out") {
-            options.observation.hist_path = value(arg);
-        } else if (arg == "--manifest-out") {
-            options.observation.manifest_path = value(arg);
-        } else {
-            std::cerr << prog << ": unknown option '" << arg << "'\n";
-            usage(prog, 1);
-        }
-    }
+    harness::ObservationOptions &obs = options.observation;
+    parseFlags(
+        argc, argv,
+        {numberFlag("--threads", "N",
+                    "worker threads (0 = hardware concurrency; "
+                    "default 0)",
+                    options.threads),
+         numberFlag("--shards", "N",
+                    "intra-run shard workers (0 = classic engine; "
+                    "default 0).\nSharded output is identical for "
+                    "every N >= 1 but differs\nfrom the classic engine "
+                    "(partitioned memory model)",
+                    options.shards),
+         numberFlag("--max-cells", "M",
+                    "ceiling for the sharded engine's auto cell count\n"
+                    "(0 = built-in default of 16; results depend on "
+                    "the\ncell partition, never on --shards)",
+                    options.max_cells),
+         numberFlag("--seeds", "S",
+                    "base seed for derived per-run RNG streams",
+                    options.base_seed),
+         numberFlag("--seed", "S", "same as --seeds", options.base_seed),
+         numberFlag("--repeats", "R",
+                    "seed replicates per experiment cell (default 1)",
+                    options.repeats, 1),
+         switchFlag("--smoke", "shrunken workload for CI smoke runs",
+                    options.smoke),
+         textFlag("--trace-out", "F",
+                  "write Chrome trace_event JSON (Perfetto-viewable)",
+                  obs.trace_path),
+         textFlag("--probe-out", "F",
+                  "write interval/forecast probes as CSV",
+                  obs.probe_path),
+         textFlag("--hist-out", "F",
+                  "write latency histograms as tidy CSV", obs.hist_path),
+         textFlag("--manifest-out", "F",
+                  "write one JSON manifest line per run",
+                  obs.manifest_path)},
+        "Output (stdout and observability files) is byte-identical for "
+        "every\n--threads value.");
     return options;
 }
 

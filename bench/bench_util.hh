@@ -1,9 +1,10 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: standard workload
+ * Shared helpers for the bench binaries: the one flag parser every
+ * bench's command line goes through (parseFlags), standard workload
  * geometries (kept small enough that the whole bench suite runs in
- * minutes), the common bench CLI (--threads / --seeds / --repeats),
- * and runner-driven scheme-comparison helpers.
+ * minutes), the common figure-bench CLI (--threads / --seeds /
+ * --repeats), and runner-driven scheme-comparison helpers.
  *
  * All comparison output is byte-identical across --threads values:
  * the ExperimentRunner's determinism contract fixes every run's RNG
@@ -14,6 +15,8 @@
 #ifndef ICEB_BENCH_BENCH_UTIL_HH
 #define ICEB_BENCH_BENCH_UTIL_HH
 
+#include <cstdint>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -26,6 +29,53 @@
 
 namespace bench
 {
+
+/**
+ * One flag of a bench's command line, for parseFlags. Build it with
+ * switchFlag, textFlag or numberFlag.
+ */
+struct Flag
+{
+    std::string name; //!< e.g. "--functions"
+    std::string meta; //!< value placeholder ("N", "PATH"); "" = switch
+    std::string help; //!< usage text; '\n' continues on a new line
+    bool numeric = false;
+    std::uint64_t min = 0; //!< smallest accepted number
+    /** Stores the flag: its text, or its number when numeric. */
+    std::function<void(const char *text, std::uint64_t number)> set;
+};
+
+/** A flag without a value that sets @p target to true. */
+Flag switchFlag(std::string name, std::string help, bool &target);
+
+/** A flag whose value text is stored in @p target. */
+Flag textFlag(std::string name, std::string meta, std::string help,
+              std::string &target);
+
+/**
+ * A flag whose value is an unsigned integer (decimal, 0x-hex or
+ * 0-octal, no sign) of at least @p min, stored in @p target.
+ */
+template <typename T>
+Flag
+numberFlag(std::string name, std::string meta, std::string help,
+           T &target, std::uint64_t min = 0)
+{
+    return Flag{std::move(name), std::move(meta), std::move(help), true,
+                min, [&target](const char *, std::uint64_t number) {
+                    target = static_cast<T>(number);
+                }};
+}
+
+/**
+ * Parse argv against @p flags. --help (or -h) prints a usage message
+ * built from the flags, then @p note, to stdout and exits 0. An
+ * unknown flag, a missing value, a value that is not a plain unsigned
+ * integer, or one below the flag's minimum prints an error that names
+ * the flag and then the usage to stderr, and exits 1.
+ */
+void parseFlags(int argc, char **argv, const std::vector<Flag> &flags,
+                const std::string &note = "");
 
 /**
  * The standard evaluation workload: Azure-like synthetic trace with
@@ -72,7 +122,7 @@ struct BenchOptions
 /** The --smoke workload geometry (shared by the figure benches). */
 iceb::harness::Workload smokeWorkload();
 
-/** Parse the common flags; prints usage and exits on --help/errors. */
+/** Parse the common flags (parseFlags rules for --help and errors). */
 BenchOptions parseBenchOptions(int argc, char **argv);
 
 /** Convert BenchOptions to the harness runner options. */

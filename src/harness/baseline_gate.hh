@@ -8,6 +8,8 @@
  * helpers produce one GateResult per check whose message always leads
  * with the metric's name in brackets — "[speedup ratio]", "[metrics
  * digest]" — so a CI log names the failing metric on its FAIL line.
+ * gateBestOf is the one re-measure-on-a-miss loop every timed ratio
+ * gate of bench_fip, bench_sim and bench_scale goes through.
  *
  * Also here: the flat JSON scrapers the benches use to read fields
  * back out of the baseline files they themselves wrote. They perform
@@ -18,6 +20,7 @@
 #ifndef ICEB_HARNESS_BASELINE_GATE_HH
 #define ICEB_HARNESS_BASELINE_GATE_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -39,6 +42,21 @@ struct GateResult
  */
 GateResult gateRatio(const std::string &metric, double measured,
                      double baseline, double tolerance);
+
+/** Most measurement rounds gateBestOf takes, the first one included. */
+inline constexpr int kGateRounds = 5;
+
+/**
+ * gateRatio over the best of up to kGateRounds measurements. @p first
+ * is round 1's value; while the best value so far misses the floor,
+ * @p remeasure is called for another round. Contention on a shared
+ * host only ever lowers a measured rate ratio, so the retry sheds
+ * noise while a genuine regression depresses every round and still
+ * fails. After a re-measure the message lists every round's value.
+ */
+GateResult gateBestOf(const std::string &metric, double first,
+                      const std::function<double()> &remeasure,
+                      double baseline, double tolerance);
 
 /**
  * Gate a determinism digest against the committed one: passes only on

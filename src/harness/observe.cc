@@ -154,19 +154,15 @@ buildManifest(std::size_t index, const RunResult &result,
         }
         if (const obs::HistogramSet *hists =
                 recorder->histogramsIfEnabled()) {
-            // Non-empty series only: wall timers stay out of
-            // deterministic manifests unless wall timing was on.
+            // Non-empty series only, keyed "series/tier".
             for (const obs::NamedHistogram &named :
                  obs::namedHistograms(*hists)) {
                 const obs::LatencyHistogram &h = *named.hist;
                 if (h.count() == 0)
                     continue;
                 obs::HistogramDigest digest;
-                digest.name = named.series;
-                if (named.tier[0] != '\0') {
-                    digest.name += '/';
-                    digest.name += named.tier;
-                }
+                digest.name =
+                    std::string(named.series) + '/' + named.tier;
                 digest.count = h.count();
                 digest.p50 = h.quantile(0.5);
                 digest.p95 = h.quantile(0.95);

@@ -51,8 +51,6 @@ HistogramSet::merge(const HistogramSet &other) noexcept
         setup_attach_ms[t].merge(other.setup_attach_ms[t]);
         wait_queue_ms[t].merge(other.wait_queue_ms[t]);
     }
-    decision_wall_us.merge(other.decision_wall_us);
-    forecast_wall_us.merge(other.forecast_wall_us);
 }
 
 bool
@@ -69,7 +67,7 @@ std::vector<NamedHistogram>
 namedHistograms(const HistogramSet &set)
 {
     std::vector<NamedHistogram> out;
-    out.reserve(3 * kNumTiers + 2);
+    out.reserve(3 * kNumTiers);
     for (std::size_t t = 0; t < kNumTiers; ++t) {
         const char *tier = tierName(static_cast<Tier>(t));
         out.push_back({"cold_start_ms", tier, &set.cold_start_ms[t]});
@@ -77,8 +75,6 @@ namedHistograms(const HistogramSet &set)
             {"setup_attach_ms", tier, &set.setup_attach_ms[t]});
         out.push_back({"wait_queue_ms", tier, &set.wait_queue_ms[t]});
     }
-    out.push_back({"decision_wall_us", "", &set.decision_wall_us});
-    out.push_back({"forecast_wall_us", "", &set.forecast_wall_us});
     return out;
 }
 

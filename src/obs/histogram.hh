@@ -17,9 +17,9 @@
  *    SimulationMetrics::merge() — so seed replicates and shard cells
  *    pool deterministically regardless of merge order.
  *  - Values are unsigned integers in a caller-chosen unit (simulated
- *    ms for latency series, wall-clock µs for the decision/forecast
- *    timers). Values 0..2^kSubBits-1 land in exact singleton buckets;
- *    above that the relative bucket width is 2^-kSubBits.
+ *    ms for the latency series). Values 0..2^kSubBits-1 land in exact
+ *    singleton buckets; above that the relative bucket width is
+ *    2^-kSubBits.
  */
 
 #ifndef ICEB_OBS_HISTOGRAM_HH
@@ -139,25 +139,16 @@ class LatencyHistogram
 };
 
 /**
- * The fixed family of per-run histograms. Latency series are per tier
- * in simulated milliseconds; the decision/forecast timers are
- * wall-clock microseconds around the policy's interval hooks and are
- * only populated when `wall_timing` is on (wall time is inherently
- * non-deterministic, so deterministic exports keep it off — the
- * exporters skip empty histograms, preserving byte-identity).
+ * The fixed family of per-run histograms: per-tier latency series in
+ * simulated milliseconds, so every value is deterministic.
  */
 struct HistogramSet
 {
     std::array<LatencyHistogram, kNumTiers> cold_start_ms;
     std::array<LatencyHistogram, kNumTiers> setup_attach_ms;
     std::array<LatencyHistogram, kNumTiers> wait_queue_ms;
-    LatencyHistogram decision_wall_us;
-    LatencyHistogram forecast_wall_us;
 
-    /** Measure wall time around interval hooks (non-deterministic). */
-    bool wall_timing = false;
-
-    /** Pool @p other in (bucket addition; wall_timing untouched). */
+    /** Pool @p other in (bucket addition). */
     void merge(const HistogramSet &other) noexcept;
 
     /** Any values recorded at all? */
@@ -168,7 +159,7 @@ struct HistogramSet
 struct NamedHistogram
 {
     const char *series = "";          //!< e.g. "cold_start_ms"
-    const char *tier = "";            //!< tier name, "" for wall timers
+    const char *tier = "";            //!< tier name, e.g. "high-end"
     const LatencyHistogram *hist = nullptr;
 };
 

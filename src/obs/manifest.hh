@@ -88,9 +88,8 @@ BuildInfo currentBuildInfo();
 
 /**
  * Quantile digest of one latency-histogram series, folded into the
- * manifest line ("series" or "series/tier" keyed; see
- * obs/histogram.hh). Only non-empty series appear, so deterministic
- * runs keep byte-identical manifests regardless of wall-timing.
+ * manifest line ("series/tier" keyed; see
+ * obs/histogram.hh). Only non-empty series appear.
  */
 struct HistogramDigest
 {

@@ -11,8 +11,6 @@ RunRecorder::RunRecorder(const ObsConfig &config)
       trace_capacity_(config.trace_capacity),
       trace_sink_(config.trace ? config.trace_capacity : 2)
 {
-    histogram_set_.wall_timing =
-        config.histograms && config.wall_timing;
 }
 
 TraceSink *

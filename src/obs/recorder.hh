@@ -36,9 +36,6 @@ struct ObsConfig
     bool trace = false;
     bool probes = false;
     bool histograms = false;
-    /** Measure wall time around policy interval hooks (see
-     * HistogramSet::wall_timing; non-deterministic, off by default). */
-    bool wall_timing = false;
     std::size_t trace_capacity = TraceSink::kDefaultCapacity;
 
     bool any() const { return trace || probes || histograms; }

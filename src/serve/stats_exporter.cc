@@ -29,16 +29,11 @@ void appendf(std::string &out, const char *fmt, Args... args)
         out.append(buf, static_cast<std::size_t>(n));
 }
 
-/** "series" or "series/tier": the flat histogram key both formats
- * share (no '.' — the CI schema checker splits key paths on dots). */
+/** "series/tier": the flat histogram key both formats share (no '.'
+ * — the CI schema checker splits key paths on dots). */
 std::string histKey(const obs::NamedHistogram &named)
 {
-    std::string key = named.series;
-    if (named.tier[0] != '\0') {
-        key += '/';
-        key += named.tier;
-    }
-    return key;
+    return std::string(named.series) + '/' + named.tier;
 }
 
 } // namespace
@@ -86,8 +81,7 @@ renderPrometheus(const StatsSnapshot &snap)
         for (const obs::NamedHistogram &named :
              obs::namedHistograms(*snap.histograms)) {
             const obs::LatencyHistogram &h = *named.hist;
-            const char *tier =
-                named.tier[0] != '\0' ? named.tier : "all";
+            const char *tier = named.tier;
             appendf(out,
                     "icebreaker_latency{run=\"%s\",series=\"%s\","
                     "tier=\"%s\",quantile=\"0.5\"} %" PRIu64 "\n",

@@ -1,7 +1,6 @@
 #include "sim/sharded_simulator.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -291,14 +290,6 @@ struct ShardedSimulator::Impl
 namespace
 {
 
-/** Wall-clock µs elapsed since @p t0 (clamped at 0). */
-std::uint64_t wallUsSince(std::chrono::steady_clock::time_point t0)
-{
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - t0);
-    return us.count() < 0 ? 0 : static_cast<std::uint64_t>(us.count());
-}
-
 /**
  * The barrier-time WarmupInterface the real policy acts through:
  * per-function actions route to the owning cell's cluster, tier-wide
@@ -370,8 +361,8 @@ ShardedSimulator::Impl::setup()
     ICEB_ASSERT(profiles.size() == num_functions,
                 "one profile per workload function required");
 
-    shard_plan = ShardPlan::build(num_functions, config, options.cells,
-                                  options.max_cells);
+    shard_plan =
+        ShardPlan::build(num_functions, config, 0, options.max_cells);
     const std::size_t num_cells = shard_plan.num_cells;
 
     // Resolve the run's observability sinks up front: the cells are
@@ -389,7 +380,6 @@ ShardedSimulator::Impl::setup()
     SimulatorOptions cell_options = options;
     cell_options.recorder = nullptr; // cells get direct sinks instead
     cell_options.shards = 0;
-    cell_options.cells = 0;
 
     // Per-cell arrival totals (metrics pre-sizing only, never
     // results): exact for a materialized source, unknown — so no
@@ -600,8 +590,6 @@ ShardedSimulator::advanceInterval()
         impl.sampleProbes(static_cast<IntervalIndex>(iv));
     }
 
-    const bool wall = impl.hists != nullptr && impl.hists->wall_timing;
-
     // The real policy's interval hooks fire exactly once, against the
     // aggregated observation and the global facade. Each cell's
     // open-interval counts still hold the closed interval's arrivals
@@ -618,20 +606,10 @@ ShardedSimulator::advanceInterval()
         closed.interval = static_cast<IntervalIndex>(iv - 1);
         closed.arrivals = impl.observed.data();
         closed.num_functions = impl.observed.size();
-        const auto t0 = wall ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
         impl.policy.onIntervalObserved(closed);
-        if (wall)
-            impl.hists->forecast_wall_us.record(wallUsSince(t0));
     }
-    {
-        const auto t0 = wall ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
-        impl.policy.onIntervalStart(static_cast<IntervalIndex>(iv),
-                                    *impl.facade);
-        if (wall)
-            impl.hists->decision_wall_us.record(wallUsSince(t0));
-    }
+    impl.policy.onIntervalStart(static_cast<IntervalIndex>(iv),
+                                *impl.facade);
 
     // Deal the interval's arrivals to the cells before any cell's
     // tick opens its window on them.

@@ -1,7 +1,6 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -96,16 +95,6 @@ Simulator::Simulator(
     }
 }
 
-/** Wall-clock µs elapsed since @p t0 (wall-timing histograms only). */
-static std::uint64_t
-wallUsSince(std::chrono::steady_clock::time_point t0)
-{
-    const auto dt = std::chrono::steady_clock::now() - t0;
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(dt);
-    return us.count() > 0 ? static_cast<std::uint64_t>(us.count()) : 0;
-}
-
 void
 Simulator::openArrivalWindow(IntervalIndex interval)
 {
@@ -196,33 +185,16 @@ Simulator::stepImpl(EventLoopStats &stats)
         // policy decide. The counts come from the arrivals actually
         // streamed, not from the trace: the policy layer is fed
         // exactly what a live ingest API would have delivered.
-        {
-            // Wall timers are opt-in (non-deterministic values) and
-            // per-interval, so this stays off the per-event hot path.
-            const bool wall = hists_ != nullptr && hists_->wall_timing;
-            if (event->interval > 0) {
-                IntervalObservation closed;
-                closed.interval = event->interval - 1;
-                closed.arrivals = observed_counts_.data();
-                closed.num_functions = observed_counts_.size();
-                if (wall) {
-                    const auto t0 = std::chrono::steady_clock::now();
-                    policy_.onIntervalObserved(closed);
-                    hists_->forecast_wall_us.record(wallUsSince(t0));
-                } else {
-                    policy_.onIntervalObserved(closed);
-                }
-                std::fill(observed_counts_.begin(),
-                          observed_counts_.end(), 0u);
-            }
-            if (wall) {
-                const auto t0 = std::chrono::steady_clock::now();
-                policy_.onIntervalStart(event->interval, cluster_);
-                hists_->decision_wall_us.record(wallUsSince(t0));
-            } else {
-                policy_.onIntervalStart(event->interval, cluster_);
-            }
+        if (event->interval > 0) {
+            IntervalObservation closed;
+            closed.interval = event->interval - 1;
+            closed.arrivals = observed_counts_.data();
+            closed.num_functions = observed_counts_.size();
+            policy_.onIntervalObserved(closed);
+            std::fill(observed_counts_.begin(), observed_counts_.end(),
+                      0u);
         }
+        policy_.onIntervalStart(event->interval, cluster_);
         openArrivalWindow(event->interval);
         ++intervals_started_;
         break;

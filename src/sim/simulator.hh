@@ -87,19 +87,12 @@ struct SimulatorOptions
     std::size_t shards = 0;
 
     /**
-     * Logical cell count override for the sharded engine; 0 = auto
-     * (the max_cells ceiling, clamped to the smallest populated
-     * tier's server count and the function count). Results depend on
-     * this partition — it is part of the sharded model — but never on
-     * `shards`.
-     */
-    std::size_t cells = 0;
-
-    /**
-     * Ceiling for the auto cell count; 0 = the built-in default
-     * (ShardPlan::kDefaultCells). Large clusters can raise it to
-     * expose more parallelism than the historical 16-cell clamp;
-     * ignored when `cells` names an explicit count.
+     * Ceiling for the sharded engine's logical cell count; 0 = the
+     * built-in default (ShardPlan::kDefaultCells), clamped to the
+     * smallest populated tier's server count and the function count.
+     * Large clusters can raise it to expose more parallelism than the
+     * historical 16-cell clamp. Results depend on this partition — it
+     * is part of the sharded model — but never on `shards`.
      */
     std::size_t max_cells = 0;
 

@@ -539,9 +539,9 @@ TEST(StatsExporterTest, RenderersEmitCountersAndHistograms)
     EXPECT_NE(prom.find("series=\"cold_start_ms\",tier=\"high-end\","
                         "quantile=\"0.95\""),
               std::string::npos);
-    // Wall timers carry tier="all" so every sample line has the
-    // same label set (Prometheus requirement for one metric name).
-    EXPECT_NE(prom.find("series=\"decision_wall_us\",tier=\"all\""),
+    // Every series carries a tier label, so every sample line has
+    // the same label set (Prometheus requirement for one metric name).
+    EXPECT_NE(prom.find("series=\"wait_queue_ms\",tier=\"low-end\""),
               std::string::npos);
 
     const std::string json = serve::renderStatsJson(f.snap);

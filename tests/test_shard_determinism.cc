@@ -17,6 +17,7 @@
 
 #include <array>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <sstream>
@@ -646,6 +647,59 @@ TEST(BaselineGateTest, RatioGateNamesMetricAndFloor)
 
     // Exactly on the floor still passes.
     EXPECT_TRUE(harness::gateRatio("r", 0.98, 1.0, 0.02).ok);
+}
+
+/** A scripted measurement sequence for gateBestOf's re-measure hook. */
+struct ScriptedRounds
+{
+    std::vector<double> values;
+    std::size_t calls = 0;
+
+    std::function<double()> hook()
+    {
+        return [this] { return values.at(calls++); };
+    }
+};
+
+TEST(BaselineGateTest, BestOfPassesOnFloorWithoutRemeasure)
+{
+    ScriptedRounds script;
+    const harness::GateResult gate = harness::gateBestOf(
+        "speedup ratio", 0.98, script.hook(), 1.0, 0.02);
+    EXPECT_TRUE(gate.ok);
+    EXPECT_EQ(script.calls, 0u);
+    EXPECT_NE(gate.message.find("[speedup ratio]"), std::string::npos);
+    EXPECT_EQ(gate.message.find("rounds"), std::string::npos);
+}
+
+TEST(BaselineGateTest, BestOfPassesOnSecondRoundAfterMiss)
+{
+    ScriptedRounds script{{1.01}};
+    const harness::GateResult gate = harness::gateBestOf(
+        "speedup ratio", 0.90, script.hook(), 1.0, 0.02);
+    EXPECT_TRUE(gate.ok);
+    EXPECT_EQ(script.calls, 1u);
+    EXPECT_NE(gate.message.find("meets floor"), std::string::npos);
+    EXPECT_NE(gate.message.find("measured 1.01000"), std::string::npos);
+    EXPECT_NE(gate.message.find("rounds 0.90000 1.01000"),
+              std::string::npos);
+}
+
+TEST(BaselineGateTest, BestOfFailsAfterEveryRoundMisses)
+{
+    ScriptedRounds script{{0.95, 0.97, 0.96, 0.94, 2.0}};
+    const harness::GateResult gate = harness::gateBestOf(
+        "telemetry overhead", 0.90, script.hook(), 1.0, 0.02);
+    EXPECT_FALSE(gate.ok);
+    // Five rounds in all: the first measurement plus four re-measures;
+    // the passing sixth value is never asked for.
+    EXPECT_EQ(script.calls,
+              static_cast<std::size_t>(harness::kGateRounds - 1));
+    EXPECT_EQ(harness::kGateRounds, 5);
+    EXPECT_EQ(gate.message.rfind("[telemetry overhead] ", 0), 0u);
+    EXPECT_NE(gate.message.find("measured 0.97000 fell below floor "
+                                "0.98000"),
+              std::string::npos);
 }
 
 TEST(BaselineGateTest, DigestGateNamesMetricAndBothDigests)
