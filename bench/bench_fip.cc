@@ -24,7 +24,10 @@
  * ns/forecast and forecasts/sec for scalar vs pool-exact
  * (bit-identical mode) vs pool-fast (rotation-recurrence trig,
  * <= 1e-9), at --batch-functions scale (default 10000, accepted up to
- * 1M synthetic histories).
+ * 1M synthetic histories). It also walks the warm-up ramp of a fleet
+ * restarting from empty histories (at most 1024 functions): every
+ * fill level min_samples..window-1, timed per mode and checked at
+ * every level.
  *
  * Flags (parsed by bench_util's parseFlags, like every bench: a bad
  * or non-positive value exits 1 with a usage message naming the flag):
@@ -35,16 +38,20 @@
  *                                   (default 10000, capped at 1M)
  *   --batch-intervals N             timed rounds per batch mode
  *                                   (default 3)
- *   --json PATH                     output path (default BENCH_fip.json)
+ *   --json PATH                     output path (default BENCH_fip.json,
+ *                                   or none with --baseline; refuses
+ *                                   the --baseline file itself)
  *   --smoke                         tiny grid + correctness gates:
  *                                   exits non-zero if the plan path
  *                                   allocates in steady state, drifts
  *                                   from legacy, the batch pool
  *                                   diverges (exact must be
- *                                   bit-identical, fast <= 1e-9), or
- *                                   the pool allocates in steady
- *                                   state. Absolute timings are NOT
- *                                   gated (CI noise).
+ *                                   bit-identical, fast <= 1e-9, in
+ *                                   steady state and at every warm-up
+ *                                   fill level), or the pool
+ *                                   allocates in steady state.
+ *                                   Absolute timings are NOT gated
+ *                                   (CI noise).
  *   --baseline PATH                 [batch speedup] -- gate the batch
  *                                   fast-vs-scalar speedup against a
  *                                   committed BENCH_fip.json: re-runs
@@ -512,7 +519,7 @@ struct BenchConfig
     std::size_t threads = 1;
     std::size_t batch_functions = 10000;
     std::size_t batch_intervals = 3;
-    std::string json_path = "BENCH_fip.json";
+    std::string json_path;
     std::string baseline_path;
     bool smoke = false;
 };
@@ -844,6 +851,98 @@ runBatch(const BenchConfig &cfg)
 }
 
 /**
+ * The warm-up ramp: a fleet restarting from empty histories, as after
+ * a controller restart. Every interval whose fill level lies in
+ * min_samples..window-1 forecasts the whole fleet in each mode, and
+ * every forecast is checked against the scalar predictor's.
+ */
+struct WarmupResult
+{
+    std::size_t functions = 0;
+    std::size_t fill_levels = 0; //!< forecast rounds walked
+    double scalar_ns = 0.0;
+    double exact_ns = 0.0;
+    double fast_ns = 0.0;
+    long long exact_bit_mismatches = 0; //!< over every level (gate: 0)
+    double fast_diff = 0.0; //!< max |pool_fast - scalar| (gate: 1e-9)
+};
+
+WarmupResult
+runWarmup(const BenchConfig &cfg)
+{
+    using iceb::predictors::FftPredictor;
+    using iceb::predictors::ForecastPool;
+    using iceb::predictors::ForecastPoolOptions;
+
+    WarmupResult r;
+    r.functions = std::min<std::size_t>(cfg.batch_functions, 1024);
+    iceb::predictors::FftPredictorConfig fip;
+    fip.window = cfg.window;
+
+    ForecastPool pool_exact;
+    ForecastPoolOptions fast_opts;
+    fast_opts.fast_path = true;
+    ForecastPool pool_fast(fast_opts);
+    std::vector<FftPredictor> scalar;
+    scalar.reserve(r.functions);
+    for (std::size_t fn = 0; fn < r.functions; ++fn) {
+        pool_exact.addFunction(fip);
+        pool_fast.addFunction(fip);
+        scalar.emplace_back(fip);
+    }
+
+    const std::size_t h = cfg.horizon;
+    std::vector<double> out;
+    std::vector<double> golden(r.functions * h);
+    double scalar_ms = 0.0, exact_ms = 0.0, fast_ms = 0.0;
+    for (std::size_t t = 0; t + 1 < cfg.window; ++t) {
+        for (std::size_t fn = 0; fn < r.functions; ++fn) {
+            const double v = signalAt(fn, t);
+            pool_exact.observe(fn, v);
+            pool_fast.observe(fn, v);
+            scalar[fn].observe(v);
+        }
+        if (t + 1 < fip.min_samples)
+            continue;
+        ++r.fill_levels;
+
+        auto start = Clock::now();
+        for (std::size_t fn = 0; fn < r.functions; ++fn) {
+            scalar[fn].forecastHorizon(h, out);
+            std::copy(out.begin(), out.end(), golden.begin() +
+                          static_cast<std::ptrdiff_t>(fn * h));
+        }
+        scalar_ms += bench::elapsedMs(start);
+        start = Clock::now();
+        pool_exact.forecastAll(h);
+        exact_ms += bench::elapsedMs(start);
+        start = Clock::now();
+        pool_fast.forecastAll(h);
+        fast_ms += bench::elapsedMs(start);
+
+        for (std::size_t fn = 0; fn < r.functions; ++fn) {
+            const double *want = golden.data() + fn * h;
+            const double *exact = pool_exact.forecast(fn);
+            const double *fast = pool_fast.forecast(fn);
+            for (std::size_t step = 0; step < h; ++step) {
+                if (std::memcmp(&exact[step], &want[step],
+                                sizeof(double)) != 0)
+                    ++r.exact_bit_mismatches;
+                r.fast_diff = std::max(r.fast_diff,
+                                       std::fabs(fast[step] - want[step]));
+            }
+        }
+    }
+    const double forecasts =
+        static_cast<double>(r.functions * std::max<std::size_t>(
+                                              r.fill_levels, 1));
+    r.scalar_ns = scalar_ms * 1e6 / forecasts;
+    r.exact_ns = exact_ms * 1e6 / forecasts;
+    r.fast_ns = fast_ms * 1e6 / forecasts;
+    return r;
+}
+
+/**
  * FNV-1a digest of the geometry a batch measurement depends on. The
  * baseline gate refuses to compare runs whose digests disagree, so a
  * committed BENCH_fip.json can never silently gate a differently
@@ -920,7 +1019,8 @@ void
 writeJson(const BenchConfig &cfg, const ModeResult &legacy_r,
           const ModeResult &plan_r, double fft_legacy_ns,
           double fft_plan_ns, double plan_vs_legacy,
-          double steady_allocs_plan, const BatchResult &batch)
+          double steady_allocs_plan, const BatchResult &batch,
+          const WarmupResult &warmup)
 {
     std::ofstream out(cfg.json_path);
     if (!out) {
@@ -981,6 +1081,21 @@ writeJson(const BenchConfig &cfg, const ModeResult &legacy_r,
     out << "    \"steady_state_allocs\": " << batch.steady_allocs
         << "\n";
     out << "  },\n";
+    out << "  \"warmup\": {\n";
+    out << "    \"functions\": " << warmup.functions << ",\n";
+    out << "    \"fill_levels\": " << warmup.fill_levels << ",\n";
+    out << "    \"scalar_ns_per_forecast\": " << warmup.scalar_ns
+        << ",\n";
+    out << "    \"exact_ns_per_forecast\": " << warmup.exact_ns << ",\n";
+    out << "    \"fast_ns_per_forecast\": " << warmup.fast_ns << ",\n";
+    out << "    \"speedup_exact_vs_scalar\": "
+        << warmup.scalar_ns / warmup.exact_ns << ",\n";
+    out << "    \"speedup_fast_vs_scalar\": "
+        << warmup.scalar_ns / warmup.fast_ns << ",\n";
+    out << "    \"exact_bit_mismatches\": " << warmup.exact_bit_mismatches
+        << ",\n";
+    out << "    \"max_abs_diff_fast\": " << warmup.fast_diff << "\n";
+    out << "  },\n";
     out << "  \"config_digest\": \""
         << configDigest(cfg.window, cfg.horizon, batch.functions,
                         batch.intervals)
@@ -1016,7 +1131,8 @@ main(int argc, char **argv)
                            "timed rounds per batch mode (default 3)",
                            cfg.batch_intervals, 1),
          bench::textFlag("--json", "PATH",
-                         "output path (default BENCH_fip.json)",
+                         "output path (default BENCH_fip.json; none "
+                         "with --baseline)",
                          cfg.json_path),
          bench::textFlag("--baseline", "PATH",
                          "gate the batch speedup against a committed "
@@ -1024,6 +1140,9 @@ main(int argc, char **argv)
                          cfg.baseline_path),
          bench::switchFlag("--smoke", "tiny grid + correctness gates",
                            cfg.smoke)});
+    cfg.json_path = bench::jsonOutputPath("bench_fip", cfg.json_path,
+                                          cfg.baseline_path,
+                                          "BENCH_fip.json");
     cfg.batch_functions =
         std::min<std::size_t>(cfg.batch_functions, 1000000);
     if (cfg.smoke) {
@@ -1106,6 +1225,7 @@ main(int argc, char **argv)
     const double steady_allocs_plan = steadyStateAllocs(cfg);
 
     const BatchResult batch = runBatch(cfg);
+    const WarmupResult warmup = runWarmup(cfg);
 
     std::printf("bench_fip: %zu functions x %zu intervals, window %zu"
                 " (non-pow2: %s), horizon %zu, threads %zu\n",
@@ -1145,10 +1265,23 @@ main(int argc, char **argv)
                 " fast %.3g; steady-state allocs %.4f\n",
                 batch.exact_diff, batch.exact_bit_mismatches,
                 batch.fast_diff, batch.steady_allocs);
+    std::printf("warm-up ramp: %zu functions x %zu fill levels\n",
+                warmup.functions, warmup.fill_levels);
+    std::printf("  %-12s %10s %10s\n", "mode", "ns/fcast", "speedup");
+    std::printf("  %-12s %10.0f %10s\n", "scalar", warmup.scalar_ns,
+                "1.00x");
+    std::printf("  %-12s %10.0f %9.2fx\n", "pool-exact", warmup.exact_ns,
+                warmup.scalar_ns / warmup.exact_ns);
+    std::printf("  %-12s %10.0f %9.2fx\n", "pool-fast", warmup.fast_ns,
+                warmup.scalar_ns / warmup.fast_ns);
+    std::printf("  exact: %lld bit mismatches; fast max |diff| %.3g\n",
+                warmup.exact_bit_mismatches, warmup.fast_diff);
 
-    writeJson(cfg, legacy_r, plan_r, fft_legacy_ns, fft_plan_ns,
-              plan_vs_legacy, steady_allocs_plan, batch);
-    std::printf("  wrote %s\n", cfg.json_path.c_str());
+    if (!cfg.json_path.empty()) {
+        writeJson(cfg, legacy_r, plan_r, fft_legacy_ns, fft_plan_ns,
+                  plan_vs_legacy, steady_allocs_plan, batch, warmup);
+        std::printf("  wrote %s\n", cfg.json_path.c_str());
+    }
 
     if (cfg.smoke) {
         // Correctness gates only; absolute timings vary with the CI
@@ -1184,6 +1317,21 @@ main(int argc, char **argv)
                          "FAIL: batched fast mode outside 1e-9"
                          " (max |diff| %.3g)\n",
                          batch.fast_diff);
+            ok = false;
+        }
+        if (warmup.exact_bit_mismatches != 0) {
+            std::fprintf(stderr,
+                         "FAIL: batched exact mode is not bit-identical"
+                         " to the scalar predictor during warm-up (%lld"
+                         " mismatches)\n",
+                         warmup.exact_bit_mismatches);
+            ok = false;
+        }
+        if (warmup.fast_diff > 1e-9) {
+            std::fprintf(stderr,
+                         "FAIL: batched fast mode outside 1e-9 during"
+                         " warm-up (max |diff| %.3g)\n",
+                         warmup.fast_diff);
             ok = false;
         }
         if (batch.steady_allocs > 0.0) {

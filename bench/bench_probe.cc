@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <new>
@@ -146,6 +147,31 @@ readBaselineFile(const char *program, const std::string &path)
     }
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
+}
+
+std::string
+jsonOutputPath(const char *program, const std::string &json,
+               const std::string &baseline, const char *default_path)
+{
+    if (baseline.empty())
+        return json.empty() ? default_path : json;
+    if (json.empty())
+        return "";
+    // Different spellings of one file (./x, a symlink, a hard link)
+    // count as the same file.
+    namespace fs = std::filesystem;
+    std::error_code linked, json_err, base_err;
+    const fs::path json_path = fs::weakly_canonical(json, json_err);
+    const fs::path base_path = fs::weakly_canonical(baseline, base_err);
+    if (fs::equivalent(json, baseline, linked) ||
+        (!json_err && !base_err && json_path == base_path)) {
+        std::fprintf(stderr,
+                     "%s: --json %s names the --baseline file %s; the run "
+                     "would overwrite the baseline it gates against\n",
+                     program, json.c_str(), baseline.c_str());
+        std::exit(1);
+    }
+    return json;
 }
 
 } // namespace bench

@@ -3,7 +3,7 @@
  * Measurement helpers shared by the self-gating benches (bench_fip,
  * bench_sim, bench_scale): a process-wide allocation counter, the
  * best-of-N wall timer, the FNV-1a digests their byte-identity gates
- * compare, and the baseline-file reader.
+ * compare, the baseline-file reader and the JSON output-path rule.
  *
  * bench_probe.cc replaces the global operator new/delete to count
  * allocations, so it is linked only into those three binaries, never
@@ -73,6 +73,17 @@ std::string digestHex(std::uint64_t digest);
  * baseline <path>" and exits 1 if it cannot be read.
  */
 std::string readBaselineFile(const char *program, const std::string &path);
+
+/**
+ * The JSON path a bench writes: @p json when given, else
+ * @p default_path. A run with a @p baseline writes JSON only when
+ * --json asks (it returns "" otherwise), so gating against a committed
+ * file never overwrites it; a --json that names the --baseline file
+ * prints an error naming both flags and exits 1.
+ */
+std::string jsonOutputPath(const char *program, const std::string &json,
+                           const std::string &baseline,
+                           const char *default_path);
 
 } // namespace bench
 

@@ -31,7 +31,9 @@
  *   --repeats R                     timed runs per engine (default 3)
  *   --shards N                      workers for the sharded rows
  *                                   (default 4)
- *   --json PATH                     output (default BENCH_scale.json)
+ *   --json PATH                     output (default BENCH_scale.json,
+ *                                   or none with --baseline; refuses
+ *                                   the --baseline file itself)
  *   --smoke                         small workload + forced spill;
  *                                   correctness gates only
  *   --baseline PATH                 gate against the committed
@@ -94,7 +96,7 @@ struct BenchConfig
     std::size_t num_intervals = 1440; //!< one day of 1-minute slots
     std::size_t repeats = 3;
     std::size_t shards = 4;
-    std::string json_path = "BENCH_scale.json";
+    std::string json_path;
     std::string baseline_path;
     bool smoke = false;
 };
@@ -366,7 +368,8 @@ parseArgs(int argc, char **argv)
                            "workers for the sharded rows (default 4)",
                            cfg.shards, 1),
          bench::textFlag("--json", "PATH",
-                         "output path (default BENCH_scale.json)",
+                         "output path (default BENCH_scale.json; none "
+                         "with --baseline)",
                          cfg.json_path),
          bench::switchFlag("--smoke",
                            "small workload + forced spill; correctness "
@@ -375,6 +378,9 @@ parseArgs(int argc, char **argv)
          bench::textFlag("--baseline", "PATH",
                          "gate against a committed BENCH_scale.json",
                          cfg.baseline_path)});
+    cfg.json_path = bench::jsonOutputPath("bench_scale", cfg.json_path,
+                                          cfg.baseline_path,
+                                          "BENCH_scale.json");
     if (cfg.smoke) {
         cfg.num_functions = 768;
         cfg.num_intervals = 96;
@@ -664,11 +670,13 @@ main(int argc, char **argv)
                 kFixedFunctions, kFixedIntervals,
                 fixed.metrics_digest.c_str());
 
-    writeJson(cfg, arrivals, invocations, events, csv, stream_ingest,
-              spill_runs, spilled_bytes, materialize, streamed,
-              materialized, agree, sharded_agree, hinted_allocs, fixed,
-              telemetry);
-    std::printf("wrote %s\n", cfg.json_path.c_str());
+    if (!cfg.json_path.empty()) {
+        writeJson(cfg, arrivals, invocations, events, csv, stream_ingest,
+                  spill_runs, spilled_bytes, materialize, streamed,
+                  materialized, agree, sharded_agree, hinted_allocs, fixed,
+                  telemetry);
+        std::printf("wrote %s\n", cfg.json_path.c_str());
+    }
 
     // ------------------------------------------------------------ gates
     if (!agree) {

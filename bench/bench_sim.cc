@@ -23,7 +23,9 @@
  *   --shards N                      worker threads for the sharded-
  *                                   engine row's multi-worker run
  *                                   (default 4)
- *   --json PATH                     output path (default BENCH_sim.json)
+ *   --json PATH                     output path (default BENCH_sim.json,
+ *                                   or none with --baseline; refuses
+ *                                   the --baseline file itself)
  *   --smoke                         tiny workload + correctness gates:
  *                                   exits non-zero if the cores
  *                                   disagree or the hinted run
@@ -101,7 +103,7 @@ struct BenchConfig
     std::size_t repeats = 5;
     std::size_t threads = 1;
     std::size_t shards = 4; //!< workers in the sharded row's multi run
-    std::string json_path = "BENCH_sim.json";
+    std::string json_path;
     std::string baseline_path;
     bool smoke = false;
 };
@@ -151,7 +153,9 @@ buildWorkload(const BenchConfig &cfg)
     for (std::size_t fn = 0; fn < cfg.num_functions; ++fn) {
         Rng stream = rng.fork(fn);
         trace::FunctionSeries series;
-        series.name = "b" + std::to_string(fn);
+        std::string name = "b"; // "b" + to_string warns -Wrestrict (g++ 12)
+        name += std::to_string(fn);
+        series.name = std::move(name);
         series.memory_mb = 128 + 64 * stream.uniformInt(0, 2);
         series.avg_exec_ms = 600 * stream.uniformInt(1, 3);
         series.concurrency.assign(cfg.num_intervals, 0);
@@ -416,7 +420,8 @@ parseArgs(int argc, char **argv)
                            "(default 4)",
                            cfg.shards, 1),
          bench::textFlag("--json", "PATH",
-                         "output path (default BENCH_sim.json)",
+                         "output path (default BENCH_sim.json; none "
+                         "with --baseline)",
                          cfg.json_path),
          bench::switchFlag("--smoke",
                            "tiny workload + correctness gates",
@@ -424,6 +429,9 @@ parseArgs(int argc, char **argv)
          bench::textFlag("--baseline", "PATH",
                          "also gate on a committed BENCH_sim.json",
                          cfg.baseline_path)});
+    cfg.json_path = bench::jsonOutputPath("bench_sim", cfg.json_path,
+                                          cfg.baseline_path,
+                                          "BENCH_sim.json");
     if (cfg.smoke) {
         cfg.num_functions = 16;
         cfg.num_intervals = 30;
@@ -610,10 +618,12 @@ main(int argc, char **argv)
                 sharded.events_per_sec_multi, shard_workers,
                 sharded.intra_run_speedup, sharded.host_cpus);
 
-    writeJson(cfg, events, invocations, legacy_timing, live_timing,
-              agree, calib_allocs, hinted_allocs, hinted_hist_allocs,
-              live_metrics.event_loop, sharded, telemetry);
-    std::printf("wrote %s\n", cfg.json_path.c_str());
+    if (!cfg.json_path.empty()) {
+        writeJson(cfg, events, invocations, legacy_timing, live_timing,
+                  agree, calib_allocs, hinted_allocs, hinted_hist_allocs,
+                  live_metrics.event_loop, sharded, telemetry);
+        std::printf("wrote %s\n", cfg.json_path.c_str());
+    }
 
     if (!agree) {
         std::fprintf(stderr, "FAIL: legacy and live metrics differ\n");

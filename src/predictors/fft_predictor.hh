@@ -81,8 +81,9 @@ void pushObservation(double *ring, std::size_t window,
  * forecasts zeros, a window under config.min_samples its mean, and
  * anything else the trend + top-n harmonic extrapolation. This is
  * the one implementation behind FftPredictor::forecastHorizon and
- * ForecastPool's warm-up lanes; the pool's block kernels are pinned
- * bit for bit against it.
+ * ForecastPool's lanes below max(8, min_samples) samples; the pool's
+ * block kernels, which take every longer lane (warm-up included), are
+ * pinned bit for bit against it.
  */
 void forecastWindow(const FftPredictorConfig &config, const double *ring,
                     std::size_t count, std::size_t head,

@@ -2,10 +2,12 @@
  * @file
  * Batched (structure-of-arrays) forecast kernels for the FIP.
  *
- * One block forecasts kLanes functions at a time: every pipeline
- * stage (trend fit, detrend, real FFT, harmonic fit, horizon
- * evaluation) walks lane-major SoA arrays so the per-sample inner
- * loops run over the kLanes axis and vectorize. The translation unit
+ * One block forecasts up to kLanes series of one length n at a time:
+ * every pipeline stage (trend fit, detrend, real FFT, harmonic fit,
+ * horizon evaluation) walks lane-major SoA arrays so the per-sample
+ * inner loops run over the kLanes axis and vectorize. The pool calls
+ * it for full windows and warm-up windows alike, n being a lane's
+ * sample count. The translation unit
  * is compiled with wider codegen (-march=x86-64-v3 when available,
  * see src/predictors/CMakeLists.txt) but always with
  * -ffp-contract=off and without value-unsafe optimisations, so every
@@ -23,11 +25,12 @@
  *    implementation the scalar predictor uses.
  *
  * In the default exact mode the result is therefore bit-identical to
- * FftPredictor::forecastHorizon (enforced by test). The opt-in fast
- * mode swaps per-sample cos/sin for complex-rotation recurrences in
- * the harmonic fit and the horizon evaluation (~1 ulp/sample, well
- * inside the 1e-9 agreement budget) and is the batch bench's
- * headline configuration.
+ * FftPredictor::forecastHorizon at every length n (enforced by test).
+ * The opt-in fast mode swaps per-sample cos/sin for complex-rotation
+ * recurrences in the harmonic fit and the horizon evaluation (~1
+ * ulp/sample, well inside the 1e-9 agreement budget), warm-up lanes
+ * included, and is the batch bench's headline configuration. Every
+ * lane's arithmetic is lane-local in both modes.
  */
 
 #ifndef ICEB_PREDICTORS_FORECAST_KERNELS_HH
@@ -48,13 +51,13 @@ namespace iceb::predictors::kernels
 constexpr std::size_t kLanes = 8;
 
 /**
- * Immutable per-group inputs shared by every block of a pool group:
- * the cached plan and fit tables for one (window, config) class.
+ * Immutable inputs shared by every block call of one series length in
+ * a pool group: the cached plan and fit tables for that length.
  */
 struct BlockContext
 {
     const math::FftPlan *plan = nullptr; //!< plan for length window
-    std::size_t window = 0;              //!< samples per function
+    std::size_t window = 0;              //!< samples per series (n)
     std::size_t degree = 2;              //!< trend polynomial order
     std::size_t harmonics = 10;          //!< top-n components kept
     /** Shared Vandermonde powers/power sums for the trend fit. */

@@ -30,6 +30,8 @@ ForecastPool::groupFor(const FftPredictorConfig &config)
             return g;
     Group group;
     group.cfg = config;
+    group.batch_min = std::max<std::size_t>(8, config.min_samples);
+    group.caches.resize(config.window + 1);
     groups_.push_back(std::move(group));
     return groups_.size() - 1;
 }
@@ -127,28 +129,22 @@ ForecastPool::sampleCount(std::size_t slot) const
 }
 
 void
-ForecastPool::ensureGroupCaches(Group &group)
+ForecastPool::ensureLengthCaches(Group &group, std::size_t n)
 {
-    if (group.caches_ready)
+    LengthCaches &caches = group.caches[n];
+    if (caches.plan)
         return;
-    const FftPredictorConfig &cfg = group.cfg;
-    // Only full-window lanes of groups with a usable spectrum ever run
-    // the batched pipeline; other groups forecast through the scalar
-    // core and need no shared tables.
-    if (cfg.window < 8 || cfg.window < cfg.min_samples)
-        return;
-    group.plan = math::fftPlanFor(cfg.window);
-    math::buildSeriesPowerTable(cfg.window, cfg.poly_degree,
-                                group.powers);
-    // The polyfit normal matrix depends only on (window, degree):
-    // factor it once and replay per lane.
-    const std::size_t terms = cfg.poly_degree + 1;
+    const std::size_t degree = group.cfg.poly_degree;
+    caches.plan = math::fftPlanFor(n);
+    math::buildSeriesPowerTable(n, degree, caches.powers);
+    // The polyfit normal matrix depends only on (n, degree): factor it
+    // once and replay per lane.
+    const std::size_t terms = degree + 1;
     std::vector<double> normal(terms * terms);
     for (std::size_t r = 0; r < terms; ++r)
         for (std::size_t c = 0; c < terms; ++c)
-            normal[r * terms + c] = group.powers.powers[r + c];
-    group.trend_system.factor(normal.data(), terms);
-    group.caches_ready = true;
+            normal[r * terms + c] = caches.powers.powers[r + c];
+    caches.trend_system.factor(normal.data(), terms);
 }
 
 void
@@ -157,18 +153,21 @@ ForecastPool::forecastAll(std::size_t horizon)
     ICEB_ASSERT(horizon >= 1, "horizon must be positive");
     horizon_ = horizon;
     forecasts_.assign(slots_.size() * horizon, 0.0);
+    path_counts_ = {};
     if (live_count_ == 0)
         return;
 
     // Deterministic task list: groups in creation order, blocks of
-    // kLanes lanes ascending. Shared caches are built serially here
-    // so workers only ever read them.
+    // kLanes lanes ascending. The caches of every fill level present
+    // are built serially here so workers only ever read them (retired
+    // lanes hold count 0, below every batch_min).
     tasks_.clear();
     for (std::size_t g = 0; g < groups_.size(); ++g) {
         Group &group = groups_[g];
-        if (group.lanes == 0)
-            continue;
-        ensureGroupCaches(group);
+        for (std::size_t lane = 0; lane < group.lanes; ++lane) {
+            if (group.count[lane] >= group.batch_min)
+                ensureLengthCaches(group, group.count[lane]);
+        }
         for (std::size_t first = 0; first < group.lanes; first += L) {
             tasks_.push_back(
                 BlockTask{static_cast<std::uint32_t>(g),
@@ -178,9 +177,15 @@ ForecastPool::forecastAll(std::size_t horizon)
 
     // Every block writes only its own lanes' forecasts, so which
     // worker runs which block affects scheduling only, never values.
+    for (WorkerScratch &scratch : workers_)
+        scratch.paths = {};
     executor_.run(tasks_.size(), [this](std::size_t i, std::size_t worker) {
         runBlock(groups_[tasks_[i].group], tasks_[i], workers_[worker]);
     });
+    for (const WorkerScratch &scratch : workers_) {
+        path_counts_.block += scratch.paths.block;
+        path_counts_.scalar += scratch.paths.scalar;
+    }
 }
 
 const double *
@@ -202,75 +207,77 @@ ForecastPool::runBlock(const Group &group, const BlockTask &task,
     const std::size_t lane_end =
         std::min<std::size_t>(task.first_lane + L, group.lanes);
 
-    const bool can_batch =
-        group.caches_ready && w >= 8 && w >= cfg.min_samples;
-    const kernels::BlockContext ctx{
-        group.plan.get(), w, cfg.poly_degree, cfg.harmonics,
-        &group.powers, &group.trend_system, options_.fast_path};
-    bool active[L] = {};
-    bool any_active = false;
-    if (can_batch)
-        scratch.block.prepare(ctx);
-
+    // Lanes below batch_min forecast through the scalar core here; the
+    // others wait for the forecastBlock call of their length. A silent
+    // window forecasts silence without entering a block (the scalar
+    // all-zero fast path; forecasts_ is already zeroed).
+    std::size_t length[L] = {}; //!< 0: no block call for this lane
     for (std::size_t lane = task.first_lane; lane < lane_end; ++lane) {
-        const std::size_t l = lane - task.first_lane;
         const std::uint32_t slot = group.slot_of_lane[lane];
         if (slot == kInvalid)
             continue;
-        double *out = forecasts_.data() + slot * horizon_;
         const double *ring = group.ring.data() + lane * w;
         const std::uint32_t count = group.count[lane];
-        const std::uint32_t head = group.head[lane];
-        if (!can_batch || count < w) {
-            // Warm-up / short-window lanes: the scalar core.
-            forecastWindow(cfg, ring, count, head, horizon_, scratch.fip,
-                           out);
+        if (count < group.batch_min) {
+            forecastWindow(cfg, ring, count, group.head[lane], horizon_,
+                           scratch.fip, forecasts_.data() + slot * horizon_);
+            ++scratch.paths.scalar;
             continue;
         }
-        // Gather the full window, oldest first, into the lane column;
-        // a silent window forecasts silence without entering the
-        // batch (the scalar all-zero fast path; forecasts_ is already
-        // zeroed).
-        double *dst = scratch.block.window.data();
-        bool all_zero = true;
-        for (std::size_t i = 0; i < w; ++i) {
-            std::size_t pos = head + i;
-            if (pos >= w)
-                pos -= w;
-            const double v = ring[pos];
-            if (v != 0.0)
-                all_zero = false;
-            dst[i * L + l] = v;
-        }
-        if (all_zero)
+        if (std::all_of(ring, ring + count,
+                        [](double v) { return v == 0.0; }))
             continue;
-        active[l] = true;
-        any_active = true;
+        length[lane - task.first_lane] = count;
+        ++scratch.paths.block;
     }
-    if (!any_active)
-        return;
 
-    // Zero inactive columns so stale scratch never feeds the lanes'
+    // One block call per distinct length. A filling ring holds its
+    // samples in arrival order from slot 0 (head 0), so one gather
+    // serves full and filling lanes alike. Columns of lanes outside
+    // the call are zeroed so stale scratch never feeds the lanes'
     // shared (but lane-wise independent) arithmetic.
-    double *dst = scratch.block.window.data();
-    for (std::size_t l = 0; l < L; ++l) {
-        if (active[l])
-            continue;
-        for (std::size_t i = 0; i < w; ++i)
-            dst[i * L + l] = 0.0;
-    }
-
     scratch.horizon_tmp.resize(horizon_ * L);
-    kernels::forecastBlock(ctx, active, horizon_, scratch.block,
-                           scratch.horizon_tmp.data());
-    for (std::size_t lane = task.first_lane; lane < lane_end; ++lane) {
-        const std::size_t l = lane - task.first_lane;
-        if (!active[l])
+    for (std::size_t first = 0; first < L; ++first) {
+        const std::size_t n = length[first];
+        if (n == 0)
             continue;
-        const std::uint32_t slot = group.slot_of_lane[lane];
-        double *out = forecasts_.data() + slot * horizon_;
-        for (std::size_t step = 0; step < horizon_; ++step)
-            out[step] = scratch.horizon_tmp[step * L + l];
+        const LengthCaches &caches = group.caches[n];
+        const kernels::BlockContext ctx{
+            caches.plan.get(), n, cfg.poly_degree, cfg.harmonics,
+            &caches.powers, &caches.trend_system, options_.fast_path};
+        scratch.block.prepare(ctx);
+        double *dst = scratch.block.window.data();
+        bool active[L] = {};
+        for (std::size_t l = 0; l < L; ++l) {
+            active[l] = length[l] == n;
+            if (!active[l]) {
+                for (std::size_t i = 0; i < n; ++i)
+                    dst[i * L + l] = 0.0;
+                continue;
+            }
+            const std::size_t lane = task.first_lane + l;
+            const double *ring = group.ring.data() + lane * w;
+            const std::size_t head = group.head[lane];
+            for (std::size_t i = 0; i < n; ++i) {
+                std::size_t pos = head + i;
+                if (pos >= w)
+                    pos -= w;
+                dst[i * L + l] = ring[pos];
+            }
+            length[l] = 0;
+        }
+
+        kernels::forecastBlock(ctx, active, horizon_, scratch.block,
+                               scratch.horizon_tmp.data());
+        for (std::size_t l = 0; l < L; ++l) {
+            if (!active[l])
+                continue;
+            const std::uint32_t slot =
+                group.slot_of_lane[task.first_lane + l];
+            double *out = forecasts_.data() + slot * horizon_;
+            for (std::size_t step = 0; step < horizon_; ++step)
+                out[step] = scratch.horizon_tmp[step * L + l];
+        }
     }
 }
 

@@ -4,30 +4,38 @@
  *
  * A ForecastPool owns the invocation history of every registered
  * function as contiguous per-lane ring buffers, grouped by predictor
- * configuration so one cached FftPlan (and one factored trend system)
- * drives block transforms over many functions at once. forecastAll()
- * forecasts kLanes functions per block through the SoA kernels in
- * forecast_kernels.cc, optionally thread-parallel: the pool owns one
- * persistent WorkerPool whose workers claim blocks of a deterministic
- * task list, each worker with its own scratch. Every lane's
- * arithmetic is lane-local and each block writes only its own lanes'
- * forecasts, so results are byte-identical for any --threads value.
+ * configuration so the cached FftPlans and factored trend systems of
+ * each series length drive block transforms over many functions at
+ * once. forecastAll() forecasts kLanes functions per block through
+ * the SoA kernels in forecast_kernels.cc, optionally thread-parallel:
+ * the pool owns one persistent WorkerPool whose workers claim blocks
+ * of a deterministic task list, each worker with its own scratch.
+ * Every lane's arithmetic is lane-local and each block writes only its
+ * own lanes' forecasts, so results are byte-identical for any
+ * --threads value.
+ *
+ * Every live lane holding at least max(8, min_samples) samples runs
+ * the block kernels at length n = its sample count: full windows and
+ * warm-up windows alike, one forecastBlock call per distinct count
+ * in a block (a uniform fleet makes one call per block). Only the
+ * lanes below that threshold - silent, mean-path and short windows -
+ * call the predictor's own scalar core, forecastWindow.
  *
  * Equivalence contract (enforced by tests):
  *
  *  - default (exact) mode reproduces FftPredictor::forecastHorizon
- *    bit for bit: full-window lanes run the batched pipeline whose
- *    every stage replays the scalar operation sequence (silent full
- *    windows skip it and forecast zeros), and all other lanes
- *    (warm-up, short windows) call the predictor's own scalar core,
- *    forecastWindow;
+ *    bit for bit at every fill level: every block stage replays the
+ *    scalar operation sequence (silent windows skip the kernels and
+ *    forecast zeros), and the other lanes run forecastWindow itself;
  *  - fast mode (ForecastPoolOptions::fast_path) swaps the harmonic
- *    fit and horizon trig for rotation recurrences, staying within
- *    1e-9 of the scalar forecast while roughly halving its cost.
+ *    fit and horizon trig for rotation recurrences on every block
+ *    lane, warm-up included, staying within 1e-9 of the scalar
+ *    forecast while roughly halving its cost. A lane's bits depend
+ *    only on its own history, never on its neighbours' counts.
  *
  * Steady-state forecasting performs no heap allocations; the pool
- * allocates only when functions are added or a longer horizon is
- * first requested.
+ * allocates only when functions are added, a longer horizon is first
+ * requested, or a fill level is first forecast (its length caches).
  */
 
 #ifndef ICEB_PREDICTORS_FORECAST_POOL_HH
@@ -61,6 +69,13 @@ struct ForecastPoolOptions
      * ForecastPool is built, and reused by every forecastAll.
      */
     std::size_t threads = 1;
+};
+
+/** Lanes of one forecastAll, by the path that forecast them. */
+struct ForecastPathCounts
+{
+    std::size_t block = 0;  //!< lanes forecast by kernels::forecastBlock
+    std::size_t scalar = 0; //!< lanes forecast by the scalar core
 };
 
 /**
@@ -108,10 +123,27 @@ class ForecastPool
      */
     const double *forecast(std::size_t slot) const;
 
+    /**
+     * Where the last forecastAll sent its live lanes. Silent windows
+     * long enough for the block path skip both paths and count in
+     * neither.
+     */
+    const ForecastPathCounts &pathCounts() const { return path_counts_; }
+
   private:
+    /** Shared tables for fitting series of one length. */
+    struct LengthCaches
+    {
+        std::shared_ptr<const math::FftPlan> plan; //!< null until built
+        math::SeriesPowerTable powers;
+        math::FactoredSystem trend_system;
+    };
+
     struct Group
     {
         FftPredictorConfig cfg;
+        /** Fewest samples the block kernels take: max(8, min_samples). */
+        std::size_t batch_min = 8;
         std::size_t lanes = 0; //!< allocated lanes (incl. free)
         /** Lane-major ring storage: ring[lane * window + pos]. */
         std::vector<double> ring;
@@ -120,11 +152,12 @@ class ForecastPool
         std::vector<std::uint32_t> slot_of_lane;
         std::vector<std::uint32_t> free_lanes;
 
-        // Shared per-group caches, built lazily before forecasting.
-        std::shared_ptr<const math::FftPlan> plan;
-        math::SeriesPowerTable powers;
-        math::FactoredSystem trend_system;
-        bool caches_ready = false;
+        /**
+         * caches[n] serves the lanes holding n samples (window + 1
+         * entries). forecastAll builds the ones it needs before the
+         * workers start, so workers only read them.
+         */
+        std::vector<LengthCaches> caches;
     };
 
     struct SlotRef
@@ -139,6 +172,7 @@ class ForecastPool
         kernels::BlockScratch block;
         std::vector<double> horizon_tmp;
         FipWorkspace fip;
+        ForecastPathCounts paths; //!< this worker's share of a forecastAll
     };
 
     struct BlockTask
@@ -148,7 +182,7 @@ class ForecastPool
     };
 
     std::size_t groupFor(const FftPredictorConfig &config);
-    void ensureGroupCaches(Group &group);
+    static void ensureLengthCaches(Group &group, std::size_t n);
     void runBlock(const Group &group, const BlockTask &task,
                   WorkerScratch &scratch);
 
@@ -162,6 +196,7 @@ class ForecastPool
     /** Slot-major results: forecasts_[slot * horizon_ + step]. */
     std::vector<double> forecasts_;
     std::vector<BlockTask> tasks_;
+    ForecastPathCounts path_counts_;
     WorkerPool executor_;
     /** One scratch per executor lane, indexed by that lane. */
     std::vector<WorkerScratch> workers_;

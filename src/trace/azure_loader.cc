@@ -60,8 +60,13 @@ writeAzureCsv(std::ostream &out, const Trace &trace)
 {
     CsvWriter writer(out);
     CsvRow header = {"name", "memory_mb", "avg_exec_ms"};
-    for (std::size_t i = 1; i <= trace.numIntervals(); ++i)
-        header.push_back("m" + std::to_string(i));
+    // Built then appended: g++ 12 at -O3 warns -Wrestrict on
+    // "m" + std::to_string(i).
+    for (std::size_t i = 1; i <= trace.numIntervals(); ++i) {
+        std::string column = "m";
+        column += std::to_string(i);
+        header.push_back(std::move(column));
+    }
     writer.writeRow(header);
 
     for (const auto &fn : trace.functions()) {

@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "math/fft.hh"
@@ -73,7 +75,7 @@ expectHorizonBitsEqual(const double *pool_out,
  * Roll `intervals` observation/forecast rounds over `functions`
  * functions with the given config, asserting the pool matches the
  * scalar predictor bit for bit at every round (including warm-up,
- * where lanes take the scalar core).
+ * where lanes run the block kernels at each fill level).
  */
 void
 rollAndCompare(const FftPredictorConfig &config, std::size_t functions,
@@ -360,6 +362,128 @@ TEST(ForecastPoolTest, FastModeWithinTolerance)
                             1e-9)
                     << "window=" << window << " t=" << t
                     << " step=" << step;
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------ block paths
+
+TEST(ForecastPoolTest, PathCountsPutEveryLongLaneOnTheBlockPath)
+{
+    // From max(8, min_samples) samples on, every non-silent lane runs
+    // the block kernels, warm-up included, in both modes; below that
+    // every live lane (silent ones too) takes the scalar core.
+    FftPredictorConfig config;
+    config.window = 24;
+    config.min_samples = 10;
+    const std::size_t functions = kernels::kLanes + 3;
+    const std::size_t silent = 5;
+    for (const bool fast : {false, true}) {
+        ForecastPoolOptions opts;
+        opts.fast_path = fast;
+        ForecastPool pool(opts);
+        for (std::size_t fn = 0; fn < functions; ++fn)
+            pool.addFunction(config);
+        pool.forecastAll(3);
+        EXPECT_EQ(pool.pathCounts().block, 0u);
+        EXPECT_EQ(pool.pathCounts().scalar, functions);
+        for (std::size_t t = 0; t < 2 * config.window; ++t) {
+            for (std::size_t fn = 0; fn < functions; ++fn)
+                pool.observe(fn, fn == silent ? 0.0 : signalAt(fn, t));
+            pool.forecastAll(3);
+            const ForecastPathCounts &paths = pool.pathCounts();
+            if (t + 1 >= config.min_samples) {
+                EXPECT_EQ(paths.block, functions - 1)
+                    << "fast=" << fast << " t=" << t;
+                EXPECT_EQ(paths.scalar, 0u) << "fast=" << fast << " t=" << t;
+            } else {
+                EXPECT_EQ(paths.block, 0u) << "fast=" << fast << " t=" << t;
+                EXPECT_EQ(paths.scalar, functions)
+                    << "fast=" << fast << " t=" << t;
+            }
+        }
+    }
+}
+
+TEST(ForecastPoolTest, MixedFillLevelsInOneBlock)
+{
+    // One block whose 8 lanes hold 8 different sample counts (from
+    // staggered resets and a mid-stream arrival). Exact mode must
+    // match the scalar predictor bit for bit; in fast mode each lane
+    // must match, bit for bit, its series forecast alone in a
+    // one-function fast pool (so its neighbours' counts never change
+    // its bits) and stay within 1e-9 of the scalar predictor.
+    FftPredictorConfig config;
+    config.window = 48;
+    const std::size_t lanes = kernels::kLanes;
+    const std::size_t horizon = 7;
+    const std::size_t late = lanes - 1;  // added mid-stream
+    const std::size_t late_arrival = 45;
+    const std::size_t check_t = 52;      // all 8 counts differ here
+    const auto reset_at = [](std::size_t fn) { return 10 + 4 * fn; };
+
+    for (const bool fast : {false, true}) {
+        ForecastPoolOptions opts;
+        opts.fast_path = fast;
+        ForecastPool pool(opts);
+        std::vector<std::unique_ptr<ForecastPool>> alone;
+        std::vector<FftPredictor> scalar;
+        for (std::size_t fn = 0; fn < lanes; ++fn) {
+            alone.push_back(std::make_unique<ForecastPool>(opts));
+            scalar.emplace_back(config);
+        }
+        for (std::size_t fn = 0; fn < late; ++fn) {
+            EXPECT_EQ(pool.addFunction(config), fn);
+            alone[fn]->addFunction(config);
+        }
+
+        std::vector<double> golden;
+        for (std::size_t t = 0; t < 80; ++t) {
+            if (t == late_arrival) {
+                EXPECT_EQ(pool.addFunction(config), late);
+                alone[late]->addFunction(config);
+            }
+            const std::size_t live = t < late_arrival ? late : lanes;
+            for (std::size_t fn = 1; fn < late; ++fn) {
+                if (t == reset_at(fn)) {
+                    pool.reset(fn);
+                    alone[fn]->reset(0);
+                    scalar[fn].reset();
+                }
+            }
+            for (std::size_t fn = 0; fn < live; ++fn) {
+                const double v = signalAt(fn, t);
+                pool.observe(fn, v);
+                alone[fn]->observe(0, v);
+                scalar[fn].observe(v);
+            }
+            pool.forecastAll(horizon);
+            if (t == check_t) {
+                std::vector<std::size_t> counts;
+                for (std::size_t fn = 0; fn < lanes; ++fn)
+                    counts.push_back(pool.sampleCount(fn));
+                std::sort(counts.begin(), counts.end());
+                EXPECT_EQ(std::unique(counts.begin(), counts.end()),
+                          counts.end());
+                EXPECT_GE(counts.front(), 8u);
+                EXPECT_EQ(pool.pathCounts().block, lanes);
+            }
+            for (std::size_t fn = 0; fn < live; ++fn) {
+                scalar[fn].forecastHorizon(horizon, golden);
+                if (!fast) {
+                    expectHorizonBitsEqual(pool.forecast(fn), golden, fn, t);
+                    continue;
+                }
+                alone[fn]->forecastAll(horizon);
+                const double *mine = pool.forecast(fn);
+                const double *solo = alone[fn]->forecast(0);
+                for (std::size_t step = 0; step < horizon; ++step) {
+                    ASSERT_EQ(bits(mine[step]), bits(solo[step]))
+                        << "fn=" << fn << " t=" << t << " step=" << step;
+                    EXPECT_NEAR(mine[step], golden[step], 1e-9)
+                        << "fn=" << fn << " t=" << t << " step=" << step;
+                }
             }
         }
     }

@@ -60,7 +60,9 @@ TEST(FaasCachePolicyTest, PriorityUsesFrequencyCostAndSize)
     trace::Trace tr(10, 60'000);
     for (int i = 0; i < 2; ++i) {
         trace::FunctionSeries fn;
-        fn.name = "f" + std::to_string(i);
+        std::string name = "f";
+        name += std::to_string(i);
+        fn.name = std::move(name);
         fn.memory_mb = 256;
         fn.avg_exec_ms = 500;
         fn.concurrency.assign(10, 0);

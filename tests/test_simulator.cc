@@ -318,7 +318,9 @@ TEST(SimulatorGoldenTest, MetricsHashMatchesSeedImplementation)
     for (std::size_t fn = 0; fn < kFns; ++fn) {
         Rng stream = rng.fork(fn);
         trace::FunctionSeries series;
-        series.name = "g" + std::to_string(fn);
+        std::string name = "g";
+        name += std::to_string(fn);
+        series.name = std::move(name);
         series.memory_mb = 128 + 128 * stream.uniformInt(1, 4);
         series.avg_exec_ms = 500 * stream.uniformInt(1, 6);
         series.concurrency.assign(kIntervals, 0);

@@ -24,7 +24,7 @@ FunctionSeries
 makeSeries(std::vector<std::uint32_t> counts)
 {
     FunctionSeries series;
-    series.name = "t";
+    series.name = std::string("t");
     series.memory_mb = 128;
     series.avg_exec_ms = 500;
     series.concurrency = std::move(counts);
